@@ -15,7 +15,9 @@ Four inequalities are implemented:
 All probabilities are computed in the log domain and exponentiated last;
 reported values are clamped to [0, 1] with the raw (unclamped) value kept
 alongside. A small exact-tail oracle based on truncated PMF convolution is
-included for validating the bounds on small instances.
+included for validating the bounds on small instances; its NB marginals are
+computed with numpy alone (log-domain recurrence, provable truncation), so
+the package needs no scipy at run time.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .distributions import GammaMixture, NBParams, NB2Params, nb_log_mgf
 from .errors import DomainError
@@ -49,8 +50,11 @@ __all__ = [
 _INVERT_LAMBDA_CAP = 1e12
 # Marginal supports are truncated at this per-variable tail mass.
 _ORACLE_TAIL_MASS = 1e-12
-# Joint-state budget for the exact-tail oracle.
+# Joint-state budget for the exact-tail oracle; also caps one marginal's scan.
 _ORACLE_MAX_STATES = 10**7
+# The marginal scan stops once the mass beyond it is below this share of the
+# truncation tail mass, so tails near the truncation point are exact to 1e-6.
+_ORACLE_SCAN_SLACK = 1e-6
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -279,19 +283,66 @@ class OracleTail:
     truncation_error: float
 
 
+def _oracle_infeasible(detail: str) -> DomainError:
+    return DomainError(
+        "oracle-infeasible", f"{detail}, above the {_ORACLE_MAX_STATES} budget"
+    )
+
+
 def _truncated_pmf(q: NBParams) -> np.ndarray:
-    """PMF of NB(r, p) on ``0..K`` where the tail beyond K is <= 1e-12."""
-    k_max = int(stats.nbinom.isf(_ORACLE_TAIL_MASS, q.r, q.p)) + 1
-    return stats.nbinom.pmf(np.arange(k_max + 1), q.r, q.p)
+    """PMF of NB(r, p) on ``0..K`` with ``K = min{k : P(X > k) <= 1e-12} + 1``.
+
+    The log pmf follows the recurrence ``log f(0) = r log p``,
+    ``log f(k) = log f(k-1) + log1p((r-1)/k) + log(1-p)`` in one cumulative
+    sum and is exponentiated last, so an underflowing ``p**r`` cannot empty
+    the support. ``P(X > k)`` is a reverse cumulative sum over a scan
+    ``0..N`` whose end is checked by a tail bound: the pmf ratio
+    ``f(k+1)/f(k) = (k+r)/(k+1) * (1-p)`` stays at or below
+    ``rho = max(that ratio at N, 1-p)`` for every ``k >= N`` (it decreases
+    in k when ``r >= 1`` and increases towards ``1-p`` when ``r < 1``), so
+    ``P(X >= N) <= f(N) / (1 - rho)`` once ``rho < 1``. The scan starts at
+    ``mean + 10 sd + 40/p`` and doubles until that bound is small enough.
+    """
+    mean, sd = q.mean(), math.sqrt(q.variance())
+    if not mean - sd <= _ORACLE_MAX_STATES:
+        # Cantelli: P(X > mean - sd) >= 1/2, so K itself is past the budget;
+        # the negated test also rejects a NaN mean - sd from overflowing moments
+        raise _oracle_infeasible(f"NB(r={q.r}, p={q.p}) has mean {mean:g}")
+    log_q = math.log1p(-q.p)
+    log_remainder = math.log(_ORACLE_TAIL_MASS * _ORACLE_SCAN_SLACK)
+    guess = mean + 10.0 * sd + 40.0 / q.p
+    n = int(guess) + 1 if guess < _ORACLE_MAX_STATES else _ORACLE_MAX_STATES
+    while True:
+        log_pmf = np.arange(float(n))
+        steps = log_pmf[1:]  # view: k = 1..n-1, overwritten in place
+        np.log1p(np.divide(q.r - 1.0, steps, out=steps), out=steps)
+        steps += log_q
+        log_pmf[0] = q.r * math.log(q.p)
+        np.cumsum(log_pmf, out=log_pmf)
+        rho = max((n - 1 + q.r) / n * (1.0 - q.p), 1.0 - q.p)
+        if rho < 1.0 and log_pmf[-1] - math.log1p(-rho) <= log_remainder:
+            break
+        if n == _ORACLE_MAX_STATES:
+            raise _oracle_infeasible(
+                f"NB(r={q.r}, p={q.p}) has tail mass above 1e-12 past {n} states"
+            )
+        n = min(2 * n, _ORACLE_MAX_STATES)
+    pmf = np.exp(log_pmf, out=log_pmf)
+    at_least = np.cumsum(pmf[::-1])[::-1]  # at_least[k] = P(X >= k) = P(X > k-1)
+    k_max = int(np.argmax(at_least <= _ORACLE_TAIL_MASS))
+    return pmf[: k_max + 1].copy()
 
 
-def _check_oracle_feasible(pmfs: list[np.ndarray]) -> None:
-    states = math.prod(len(p) for p in pmfs)
-    if states > _ORACLE_MAX_STATES:
-        raise DomainError(
-            "oracle-infeasible",
-            f"truncated joint support has {states} states, above the {_ORACLE_MAX_STATES} budget",
-        )
+def _truncated_pmfs(params: list[NBParams]) -> list[np.ndarray]:
+    """Truncated marginals, stopping as soon as the joint support is over budget."""
+    pmfs = []
+    states = 1
+    for q in params:
+        pmfs.append(_truncated_pmf(q))
+        states *= len(pmfs[-1])
+        if states > _ORACLE_MAX_STATES:
+            raise _oracle_infeasible(f"truncated joint support has at least {states} states")
+    return pmfs
 
 
 def exact_max_deviation_tail_oracle(params: Sequence[NBParams], lam: float) -> OracleTail:
@@ -307,8 +358,7 @@ def exact_max_deviation_tail_oracle(params: Sequence[NBParams], lam: float) -> O
     if not params:
         raise DomainError("invalid-parameter", "params must be a nonempty sequence")
     _require_positive("lambda", lam)
-    pmfs = [_truncated_pmf(q) for q in params]
-    _check_oracle_feasible(pmfs)
+    pmfs = _truncated_pmfs(params)
 
     surviving = np.array([1.0])  # mass by integer partial sum, not yet exceeded
     exceeded = 0.0
@@ -330,8 +380,7 @@ def exact_mean_deviation_tail(params: Sequence[NBParams], a: float) -> OracleTai
     if not params:
         raise DomainError("invalid-parameter", "params must be a nonempty sequence")
     _require_positive("a", a)
-    pmfs = [_truncated_pmf(q) for q in params]
-    _check_oracle_feasible(pmfs)
+    pmfs = _truncated_pmfs(params)
 
     total = pmfs[0]
     for pmf in pmfs[1:]:

@@ -259,7 +259,9 @@ def load_scenario(source: str | io.TextIOBase) -> tuple[EpiScenario, list[float]
          "weeks": 12,
          "alpha_levels": [0.05, 0.01]}
 
-    ``id`` is optional and defaults to region_1, region_2, ...
+    ``id`` is optional and defaults to region_1, region_2, ... Numeric
+    fields must parse as numbers and ``weeks`` must be a whole number; a
+    bad field raises a ``DomainError`` naming it.
     """
     try:
         if isinstance(source, str):
@@ -273,14 +275,34 @@ def load_scenario(source: str | io.TextIOBase) -> tuple[EpiScenario, list[float]
         raise DomainError("invalid-parameter", f"scenario file is not valid JSON: {exc}") from exc
     try:
         regions = [
-            Region(float(r["weekly_mu"]), float(r["kappa"]), str(r.get("id", "")))
-            for r in doc["regions"]
+            Region(
+                _scenario_number(r["weekly_mu"], f"regions[{i}].weekly_mu"),
+                _scenario_number(r["kappa"], f"regions[{i}].kappa"),
+                str(r.get("id", "")),
+            )
+            for i, r in enumerate(doc["regions"])
         ]
-        weeks = int(doc["weeks"])
-        alphas = [float(a) for a in doc.get("alpha_levels", [0.05])]
+        weeks = _scenario_number(doc["weeks"], "weeks")
+        alphas = [
+            _scenario_number(a, f"alpha_levels[{i}]")
+            for i, a in enumerate(doc.get("alpha_levels", [0.05]))
+        ]
     except (KeyError, TypeError) as exc:
         raise DomainError("invalid-parameter", f"malformed scenario document: {exc}") from exc
-    return EpiScenario(regions, weeks), alphas
+    if not weeks.is_integer():
+        raise DomainError(
+            "invalid-parameter", f"scenario field weeks must be a whole number, got {weeks}"
+        )
+    return EpiScenario(regions, int(weeks)), alphas
+
+
+def _scenario_number(value, field: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise DomainError(
+            "invalid-parameter", f"scenario field {field} must be a number, got {value!r}"
+        ) from None
 
 
 def load_counts(source: str | io.TextIOBase, scenario: EpiScenario) -> np.ndarray:
@@ -320,6 +342,10 @@ def load_counts(source: str | io.TextIOBase, scenario: EpiScenario) -> np.ndarra
             raise DomainError(
                 "invalid-parameter", f"malformed counts row at line {line_number}"
             ) from None
+        if not all(math.isfinite(v) for v in values):
+            raise DomainError(
+                "invalid-parameter", f"non-finite count at line {line_number}"
+            )
         if any(v < 0 for v in values):
             raise DomainError(
                 "invalid-parameter", f"negative count at line {line_number}"

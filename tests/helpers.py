@@ -28,6 +28,12 @@ def quad_mixture_pmf(k: int, alpha: float, beta: float, theta: float) -> float:
     return value
 
 
+def scipy_truncated_nb_pmf(r: float, p: float, tail_mass: float) -> np.ndarray:
+    """scipy's NB(r, p) pmf on 0..K with K = int(isf(tail_mass)) + 1."""
+    k_max = int(stats.nbinom.isf(tail_mass, r, p)) + 1
+    return stats.nbinom.pmf(np.arange(k_max + 1), r, p)
+
+
 def mc_max_deviation_tail(params, lam: float, reps: int, seed: int) -> tuple[float, float]:
     """Monte Carlo estimate of P(max_k |S_k| >= lam) for independent NB.
 

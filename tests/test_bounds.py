@@ -20,8 +20,9 @@ from nbbounds import (
     nb_log_mgf,
     tweedie_variance,
 )
+from nbbounds import bounds as bounds_module
 
-from helpers import mc_max_deviation_tail
+from helpers import mc_max_deviation_tail, scipy_truncated_nb_pmf
 
 
 @pytest.fixture(scope="module")
@@ -308,6 +309,17 @@ class TestExactTailOracle:
         with pytest.raises(DomainError, match="oracle-infeasible"):
             exact_max_deviation_tail_oracle(params, 10.0)
 
+    def test_infeasible_marginal_rejected_before_allocation(self):
+        # K is near 1e10 here; the support must not be materialized
+        with pytest.raises(DomainError, match="oracle-infeasible"):
+            exact_max_deviation_tail_oracle([NBParams(1e6, 1e-4)], 10.0)
+
+    def test_marginal_scan_capped_by_budget(self, monkeypatch):
+        # mean 99 is far below the budget, but K is about 2,750
+        monkeypatch.setattr(bounds_module, "_ORACLE_MAX_STATES", 1000)
+        with pytest.raises(DomainError, match="oracle-infeasible"):
+            exact_mean_deviation_tail([NBParams(1.0, 0.01)], 1.0)
+
     def test_mean_tail_hand_value(self):
         # P(X >= 3) for NB(2, 0.5): 1 - 0.25 - 0.25 - 0.1875
         oracle = exact_mean_deviation_tail([NBParams(2, 0.5)], 1.0)
@@ -334,3 +346,29 @@ class TestClamping:
                 bernstein_dependent_bound(design.mixture, lam).bound_value,
             ):
                 assert 0.0 <= value <= 1.0
+
+
+class TestTruncatedPmf:
+    """The numpy marginals against scipy.stats.nbinom as the oracle."""
+
+    def test_matches_scipy_on_random_parameters(self):
+        rng = np.random.default_rng(31)
+        for _ in range(2000):
+            r = math.exp(rng.uniform(math.log(0.05), math.log(50.0)))
+            p = rng.uniform(0.02, 0.99)
+            ours = bounds_module._truncated_pmf(NBParams(r, p))
+            ref = scipy_truncated_nb_pmf(r, p, 1e-12)
+            assert len(ours) == len(ref), (r, p)
+            assert np.max(np.abs(ours - ref)) <= 1e-12, (r, p)
+
+    def test_underflowing_first_term_keeps_full_mass(self):
+        # 0.3**1000 underflows to 0.0, so p**r cannot seed the recurrence
+        pmf = bounds_module._truncated_pmf(NBParams(1000.0, 0.3))
+        assert abs(pmf.sum() - 1.0) <= 1e-12
+        assert np.all(np.isfinite(pmf))
+
+    def test_small_shape_support(self):
+        # r < 1: the pmf decreases from k = 0 and the ratio rises towards 1 - p
+        pmf = bounds_module._truncated_pmf(NBParams(0.001, 0.001))
+        np.testing.assert_allclose(pmf, scipy_truncated_nb_pmf(0.001, 0.001, 1e-12),
+                                   rtol=0, atol=1e-15)

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -182,6 +183,16 @@ class TestMonitorCommand:
         assert proc.returncode == 0
         assert out.read_text().splitlines()[0] == "period,S_t,lambda_alpha,alarm"
 
+    def test_non_finite_count_exit_1(self, scenario_file, tmp_path):
+        rows = [[210, 340, 290, 480, 380], [210, "nan", 290, 480, 380]]
+        proc = run_cli(
+            "monitor", "--scenario", scenario_file,
+            "--counts", self._counts_csv(tmp_path, rows),
+        )
+        assert proc.returncode == 1
+        assert "error:" in proc.stderr and "line 3" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_malformed_row_exit_1_names_line(self, scenario_file, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("region_1,region_2,region_3,region_4,region_5\n1,2,3,4,oops\n")
@@ -236,7 +247,11 @@ class TestReproduceCommand:
             [sys.executable, "-m", "nbbounds", "reproduce", "epi", "--reps", "100"],
             capture_output=True,
             text=True,
-            env={"NBBOUNDS_OUT": str(tmp_path), "PATH": "/usr/bin:/bin"},
+            env={
+                "NBBOUNDS_OUT": str(tmp_path),
+                "PATH": "/usr/bin:/bin",
+                "PYTHONPATH": os.pathsep.join(sys.path),
+            },
         )
         assert proc.returncode == 0
         assert (tmp_path / "report.json").exists()
@@ -244,3 +259,36 @@ class TestReproduceCommand:
     def test_unwritable_directory_exit_1(self):
         proc = run_cli("reproduce", "epi", "--reps", "100", "--out", "/proc/nope")
         assert proc.returncode == 1
+
+
+class TestRuntimeImports:
+    """scipy is a test-only dependency; nothing on the CLI path may load it."""
+
+    @staticmethod
+    def _scipy(modules):
+        return [m for m in modules if m == "scipy" or m.startswith("scipy.")]
+
+    def test_import_loads_no_scipy(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, nbbounds; print('\\n'.join(sys.modules))"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0
+        modules = proc.stdout.splitlines()
+        assert "nbbounds.bounds" in modules
+        assert self._scipy(modules) == []
+
+    def test_bound_command_loads_no_scipy(self):
+        # -X importtime logs every module the interpreter imports to stderr
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "nbbounds",
+             "bound", "kolmogorov-indep", "--params", "3:0.3", "--lambda", "5"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0
+        modules = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                   if line.startswith("import time:")]
+        assert "nbbounds.cli" in modules
+        assert self._scipy(modules) == []

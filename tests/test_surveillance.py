@@ -211,6 +211,27 @@ class TestFileFormats:
         with pytest.raises(DomainError, match="line 3"):
             load_counts(io.StringIO("a\n1\nnot-a-number\n"), scenario)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_count_names_line(self, value):
+        scenario = EpiScenario([Region(1.0, 0.1, "a")], weeks=3)
+        with pytest.raises(DomainError, match="non-finite count at line 3"):
+            load_counts(io.StringIO(f"a\n1\n{value}\n"), scenario)
+
+    def test_non_numeric_scenario_field_named(self):
+        doc = '{"regions": [{"weekly_mu": 5, "kappa": 0.1}, {"weekly_mu": "x", "kappa": 0.1}], "weeks": 2}'
+        with pytest.raises(DomainError, match=r"regions\[1\]\.weekly_mu"):
+            load_scenario(io.StringIO(doc))
+
+    def test_fractional_weeks_rejected(self):
+        doc = '{"regions": [{"weekly_mu": 5, "kappa": 0.1}], "weeks": 2.9}'
+        with pytest.raises(DomainError, match="weeks"):
+            load_scenario(io.StringIO(doc))
+
+    def test_integral_float_weeks_accepted(self):
+        doc = '{"regions": [{"weekly_mu": 5, "kappa": 0.1}], "weeks": 3.0}'
+        scenario, _ = load_scenario(io.StringIO(doc))
+        assert scenario.weeks == 3
+
     def test_missing_region_id_rejected(self):
         scenario = EpiScenario([Region(1.0, 0.1, "a"), Region(1.0, 0.1, "b")], weeks=2)
         with pytest.raises(DomainError, match="missing region ids"):
