@@ -36,7 +36,7 @@ from .errors import DomainError
 from .rng import RngHandle
 from .simulation import (
     AmplificationResult,
-    DeviationSample,
+    DeviationSamples,
     MomentMatchedDesign,
     SimulationSummary,
     amplification_check,
@@ -44,6 +44,7 @@ from .simulation import (
     design_from_mixture,
     efficiency_curve,
     lambda_correlation,
+    replicate,
     run_dependent_experiment,
     run_independent_experiment,
     run_nb2_experiment,
@@ -54,6 +55,7 @@ from .surveillance import (
     MonitoringState,
     Region,
     epi_control_limits,
+    epi_max_deviations,
     load_counts,
     load_scenario,
     monitor_step,
@@ -90,7 +92,7 @@ __all__ = [
     "exact_max_deviation_tail_oracle",
     "exact_mean_deviation_tail",
     # simulation
-    "DeviationSample",
+    "DeviationSamples",
     "SimulationSummary",
     "MomentMatchedDesign",
     "AmplificationResult",
@@ -103,6 +105,7 @@ __all__ = [
     "amplification_check",
     "efficiency_curve",
     "summarize_deviations",
+    "replicate",
     # surveillance
     "Region",
     "EpiScenario",
@@ -111,6 +114,7 @@ __all__ = [
     "epi_control_limits",
     "start_monitoring",
     "monitor_step",
+    "epi_max_deviations",
     "run_epi_validation",
     "load_scenario",
     "load_counts",

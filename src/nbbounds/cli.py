@@ -210,7 +210,6 @@ def _cmd_reproduce(args) -> int:
         seed=seed,
         table2_replications=table2_reps,
         epi_replications=epi_reps,
-        workers=args.workers,
     )
     out_dir = args.out or os.environ.get(OUT_ENV_VAR) or "."
     try:
@@ -280,7 +279,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--fresh", action="store_true", help="draw a fresh seed instead of the default"
     )
     reproduce.add_argument("--reps", type=int, help="override replication counts")
-    reproduce.add_argument("--workers", type=int, default=1)
+    reproduce.add_argument(
+        "--workers", type=int, default=1, help="accepted for compatibility; has no effect"
+    )
     reproduce.add_argument("--out", help=f"output directory (default ${OUT_ENV_VAR} or '.')")
     reproduce.set_defaults(handler=_cmd_reproduce)
 

@@ -23,7 +23,7 @@ from .bounds import (
     kolmogorov_independent_bound,
 )
 from .simulation import (
-    DeviationSample,
+    DeviationSamples,
     MomentMatchedDesign,
     SimulationSummary,
     build_moment_matched_design,
@@ -31,8 +31,9 @@ from .simulation import (
     lambda_correlation,
     run_dependent_experiment,
     run_independent_experiment,
+    summarize_deviations,
 )
-from .surveillance import reference_scenario, run_epi_validation
+from .surveillance import epi_max_deviations, reference_scenario
 
 __all__ = [
     "DEFAULT_SEED",
@@ -97,8 +98,8 @@ def _table2_rows(
 
 
 def reproduce_table2(
-    seed: int, replications: int = TABLE2_REPLICATIONS, workers: int = 1
-) -> tuple[dict, dict, dict[str, list[DeviationSample]]]:
+    seed: int, replications: int = TABLE2_REPLICATIONS
+) -> tuple[dict, dict, dict[str, DeviationSamples]]:
     """Moment-matched comparison; returns (table rows, match report, samples).
 
     The samples (independent and dependent) are returned so figure
@@ -106,11 +107,9 @@ def reproduce_table2(
     """
     design = build_moment_matched_design()
     indep_summary, indep_samples = run_independent_experiment(
-        design.independent, replications, 0.05, seed, workers
+        design.independent, replications, 0.05, seed
     )
-    dep_summary, dep_samples = run_dependent_experiment(
-        design.mixture, replications, 0.05, seed, workers
-    )
+    dep_summary, dep_samples = run_dependent_experiment(design.mixture, replications, 0.05, seed)
     table = _table2_rows(indep_summary, dep_summary)
     match = {
         "aggregate_variance_gap_pct": 100.0 * design.aggregate_variance_gap(),
@@ -126,16 +125,17 @@ def reproduce_table2(
 def reproduce_epi(seed: int, replications: int = EPI_REPLICATIONS) -> dict:
     """Cumulative-limit validation for the calibrated 5-region scenario.
 
-    The maximal deviation is computed under both index orderings; the
-    region-prefix result is reported when it lands within 5% of the
-    reference 95th percentile, otherwise the time-prefix result is, and
-    the selection is recorded either way.
+    The maximal deviation is computed under both index orderings from the
+    same draws; the region-prefix result is reported when it lands within
+    5% of the reference 95th percentile, otherwise the time-prefix result
+    is, and the selection is recorded either way.
     """
     scenario = reference_scenario()
     v_n = scenario.tweedie_variance()
+    lambda_05 = control_limit(v_n, 0.05)
     by_mode = {
-        mode: run_epi_validation(scenario, replications, 0.05, seed, mode=mode)
-        for mode in ("region-prefix", "time-prefix")
+        mode: summarize_deviations(devs, lambda_05)
+        for mode, devs in epi_max_deviations(scenario, replications, seed).items()
     }
 
     def matches(summary: SimulationSummary) -> bool:
@@ -145,7 +145,7 @@ def reproduce_epi(seed: int, replications: int = EPI_REPLICATIONS) -> dict:
     chosen = by_mode[selected]
     return {
         "v_n": float(v_n),
-        "lambda_05": control_limit(v_n, 0.05),
+        "lambda_05": lambda_05,
         "lambda_01": control_limit(v_n, 0.01),
         "p95": chosen.p95,
         "efficiency": chosen.efficiency,
@@ -197,9 +197,8 @@ def _fig4_series(design: MomentMatchedDesign) -> dict[str, list]:
     }
 
 
-def _histogram_series(samples: list[DeviationSample], bins: int = 40) -> dict[str, list]:
-    devs = np.array([s.max_abs_dev for s in samples])
-    counts, edges = np.histogram(devs, bins=bins)
+def _histogram_series(samples: DeviationSamples, bins: int = 40) -> dict[str, list]:
+    counts, edges = np.histogram(samples.max_abs_dev, bins=bins)
     return {
         "bin_left": [float(v) for v in edges[:-1]],
         "bin_right": [float(v) for v in edges[1:]],
@@ -207,26 +206,23 @@ def _histogram_series(samples: list[DeviationSample], bins: int = 40) -> dict[st
     }
 
 
-def _fig7_series(dep_samples: list[DeviationSample]) -> dict[str, list]:
+def _fig7_series(dep_samples: DeviationSamples) -> dict[str, list]:
     return {
-        "lambda_draw": [float(s.lambda_draw) for s in dep_samples],
-        "max_abs_dev": [s.max_abs_dev for s in dep_samples],
+        "lambda_draw": dep_samples.lambda_draw.tolist(),
+        "max_abs_dev": dep_samples.max_abs_dev.tolist(),
     }
 
 
 def reproduce_figures(
     seed: int,
     replications: int = TABLE2_REPLICATIONS,
-    workers: int = 1,
-    table2_samples: dict[str, list[DeviationSample]] | None = None,
+    table2_samples: dict[str, DeviationSamples] | None = None,
 ) -> dict[str, dict[str, list]]:
     """All figure data series, keyed fig1..fig8 (fig3 duplicates fig5's run)."""
     design = build_moment_matched_design()
     if table2_samples is None:
-        _, _, table2_samples = reproduce_table2(seed, replications, workers)
-    curve = efficiency_curve(
-        FIG8_KAPPA_GRID, FIG8_BASE_MU, FIG8_N, replications, seed, workers=workers
-    )
+        _, _, table2_samples = reproduce_table2(seed, replications)
+    curve = efficiency_curve(FIG8_KAPPA_GRID, FIG8_BASE_MU, FIG8_N, replications, seed)
     return {
         "fig1": _fig1_series(),
         "fig2": _fig2_series(),
@@ -246,12 +242,11 @@ def build_report(
     seed: int = DEFAULT_SEED,
     table2_replications: int = TABLE2_REPLICATIONS,
     epi_replications: int = EPI_REPLICATIONS,
-    workers: int = 1,
 ) -> ReproductionReport:
     """Assemble the sections requested by ``which`` in {table2, epi, figures, all}."""
     if which not in ("table2", "epi", "figures", "all"):
         raise ValueError(f"unknown reproduction target {which!r}")
-    # provenance fields only; worker count must not influence any output
+    # provenance fields only
     replications: dict[str, int] = {}
     report = ReproductionReport(
         environment={
@@ -262,7 +257,7 @@ def build_report(
     )
     table2_samples = None
     if which in ("table2", "figures", "all"):
-        table, match, table2_samples = reproduce_table2(seed, table2_replications, workers)
+        table, match, table2_samples = reproduce_table2(seed, table2_replications)
         replications["table2"] = table2_replications
         if which != "figures":
             report.table2 = table
@@ -271,9 +266,7 @@ def build_report(
         report.epi = reproduce_epi(seed, epi_replications)
         replications["epi"] = epi_replications
     if which in ("figures", "all"):
-        report.figure_series = reproduce_figures(
-            seed, table2_replications, workers, table2_samples
-        )
+        report.figure_series = reproduce_figures(seed, table2_replications, table2_samples)
         replications["fig8_per_kappa"] = table2_replications
     return report
 

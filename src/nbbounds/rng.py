@@ -4,8 +4,8 @@ Every stochastic routine in this package draws from a stream identified by
 ``(master_seed, stream_index)``. Streams are backed by the Philox
 counter-based bit generator, so distinct indices give statistically
 independent sequences and a replication's stream is a pure function of its
-index. Parallel execution with any worker count therefore reproduces the
-single-threaded result bit for bit.
+index: the result of replication ``i`` does not depend on how many
+replications run or in what order.
 """
 
 from __future__ import annotations
@@ -36,10 +36,6 @@ class RngHandle:
             raise ValueError("master_seed must fit in 64 unsigned bits")
         if not 0 <= self.stream_index <= _MASK64:
             raise ValueError("stream_index must fit in 64 unsigned bits")
-
-    def stream(self, index: int) -> "RngHandle":
-        """Handle for stream ``index`` under the same master seed."""
-        return RngHandle(self.master_seed, index)
 
     def generator(self) -> np.random.Generator:
         """Fresh generator at the start of this stream."""

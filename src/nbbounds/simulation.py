@@ -7,27 +7,27 @@ against unconditional means). The moment-matched experimental design pits
 the two models against each other with identical marginal first moments
 and near-identical second moments, isolating the effect of dependence.
 
-Replications are embarrassingly parallel: replication ``i`` always draws
-from stream ``i`` of the master seed, so results are bit-identical for any
-worker count.
+Every experiment runs through one kernel, :func:`replicate`: replication
+``i`` draws from stream ``i`` of the master seed and is reduced to a few
+floats, so a replication's result is a pure function of its index and the
+first ``k`` replications of any run are the same ``k`` values.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .bounds import control_limit, dependent_kolmogorov_bound, invert_bound, tweedie_variance
-from .distributions import GammaMixture, NBParams, NB2Params
+from .distributions import GammaMixture, NBParams, NB2Params, sample_mixture_counts
 from .errors import DomainError
 from .rng import RngHandle
 
 __all__ = [
-    "DeviationSample",
+    "DeviationSamples",
     "SimulationSummary",
     "MomentMatchedDesign",
     "build_moment_matched_design",
@@ -40,6 +40,7 @@ __all__ = [
     "AmplificationResult",
     "efficiency_curve",
     "summarize_deviations",
+    "replicate",
 ]
 
 # (r, p) triple the 20-variable design cycles over
@@ -47,16 +48,16 @@ _DESIGN_CYCLE = ((3.0, 0.3), (5.0, 0.5), (8.0, 0.7))
 _DESIGN_N = 20
 
 
-@dataclass(frozen=True)
-class DeviationSample:
-    """One replication's realized maximal deviation.
+@dataclass(frozen=True, eq=False)
+class DeviationSamples:
+    """Realized maximal deviations, one entry per replication.
 
-    ``lambda_draw`` is the shared latent rate and is present exactly when
-    the replication came from the dependent model.
+    ``lambda_draw`` holds the shared latent rates and is present exactly
+    when the replications came from the dependent model.
     """
 
-    max_abs_dev: float
-    lambda_draw: float | None = None
+    max_abs_dev: np.ndarray
+    lambda_draw: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -80,10 +81,8 @@ class SimulationSummary:
     exceedance_rate: float
 
 
-def summarize_deviations(
-    samples: Sequence[DeviationSample], theoretical_lambda: float
-) -> SimulationSummary:
-    devs = np.array([s.max_abs_dev for s in samples])
+def summarize_deviations(devs: np.ndarray, theoretical_lambda: float) -> SimulationSummary:
+    devs = np.asarray(devs, dtype=float)
     if devs.size == 0:
         raise DomainError("invalid-parameter", "cannot summarize zero replications")
     median, p95, p99 = (float(v) for v in np.percentile(devs, [50.0, 95.0, 99.0]))
@@ -175,21 +174,31 @@ def design_from_mixture(mixture: GammaMixture) -> MomentMatchedDesign:
     return MomentMatchedDesign(independent=independent, mixture=mixture)
 
 
-def _map_replications(
-    rep_fn: Callable[[int], DeviationSample], replications: int, workers: int
-) -> list[DeviationSample]:
-    if workers <= 1:
-        return [rep_fn(i) for i in range(replications)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(rep_fn, range(replications)))
+def replicate(
+    one: Callable[[np.random.Generator], float | Sequence[float]],
+    replications: int,
+    seed: int,
+) -> np.ndarray:
+    """Run ``one`` on streams ``0..replications-1`` of ``seed``.
+
+    Returns the results stacked as floats: shape ``(replications,)`` when
+    ``one`` returns a scalar, ``(replications, k)`` when it returns ``k``
+    values.
+    """
+    if replications < 1:
+        raise DomainError("invalid-parameter", "replications must be >= 1")
+    return np.array(
+        [one(RngHandle(seed, i).generator()) for i in range(replications)], dtype=float
+    )
 
 
 def _nb2_replication_sampler(params: Sequence[NB2Params]):
     """Per-replication sampler drawing one count per NB2 variable.
 
     Gamma-Poisson pairs for overdispersed variables, plain Poisson for the
-    kappa == 0 limit; the stream consumption order is fixed by the
-    parameter list, independent of scheduling.
+    kappa == 0 limit. All gammas are drawn before all Poissons; that order
+    defines the stream-to-draw mapping, so per-variable ``sample_nb`` calls
+    would not reproduce it.
     """
     kappas = np.array([q.kappa for q in params])
     mus = np.array([q.mu for q in params])
@@ -219,27 +228,20 @@ def run_nb2_experiment(
     replications: int,
     alpha_level: float,
     seed: int,
-    workers: int = 1,
-) -> tuple[SimulationSummary, list[DeviationSample]]:
+) -> tuple[SimulationSummary, DeviationSamples]:
     """Independent-variable experiment in the NB2 parameterization.
 
     The theoretical threshold is the closed-form control limit
     ``sqrt(V_n / alpha)``. Supports the Poisson limit ``kappa == 0``.
     """
     params = list(params)
-    if replications < 1:
-        raise DomainError("invalid-parameter", "replications must be >= 1")
     theoretical = control_limit(tweedie_variance(params), alpha_level)
     means = np.array([q.mu for q in params])
     draw = _nb2_replication_sampler(params)
-    master = RngHandle(seed)
-
-    def one(rep: int) -> DeviationSample:
-        gen = master.stream(rep).generator()
-        return DeviationSample(_max_abs_prefix_deviation(draw(gen), means))
-
-    samples = _map_replications(one, replications, workers)
-    return summarize_deviations(samples, theoretical), samples
+    devs = replicate(
+        lambda gen: _max_abs_prefix_deviation(draw(gen), means), replications, seed
+    )
+    return summarize_deviations(devs, theoretical), DeviationSamples(devs)
 
 
 def run_independent_experiment(
@@ -247,12 +249,9 @@ def run_independent_experiment(
     replications: int,
     alpha_level: float,
     seed: int,
-    workers: int = 1,
-) -> tuple[SimulationSummary, list[DeviationSample]]:
+) -> tuple[SimulationSummary, DeviationSamples]:
     """Sample independent NB variables and record maximal prefix deviations."""
-    return run_nb2_experiment(
-        [q.to_nb2() for q in params], replications, alpha_level, seed, workers
-    )
+    return run_nb2_experiment([q.to_nb2() for q in params], replications, alpha_level, seed)
 
 
 def run_dependent_experiment(
@@ -260,8 +259,7 @@ def run_dependent_experiment(
     replications: int,
     alpha_level: float,
     seed: int,
-    workers: int = 1,
-) -> tuple[SimulationSummary, list[DeviationSample]]:
+) -> tuple[SimulationSummary, DeviationSamples]:
     """Sample the shared-Gamma mixture and record maximal prefix deviations.
 
     One latent rate per replication, counts conditionally Poisson;
@@ -269,35 +267,26 @@ def run_dependent_experiment(
     ``shape * theta_i / rate``. The theoretical threshold inverts the
     dependent maximal inequality at ``alpha_level``.
     """
-    if replications < 1:
-        raise DomainError("invalid-parameter", "replications must be >= 1")
     theoretical = invert_bound(
         lambda lam: dependent_kolmogorov_bound(model, lam).bound_value, alpha_level
     )
-    thetas = np.asarray(model.thetas)
     means = model.marginal_means()
-    scale = 1.0 / model.gamma_rate
-    master = RngHandle(seed)
 
-    def one(rep: int) -> DeviationSample:
-        gen = master.stream(rep).generator()
-        lam = gen.gamma(model.gamma_shape, scale)
-        counts = gen.poisson(lam * thetas)
-        return DeviationSample(_max_abs_prefix_deviation(counts, means), lambda_draw=float(lam))
+    def one(gen: np.random.Generator) -> tuple[float, float]:
+        lam, counts = sample_mixture_counts(model, gen)
+        return _max_abs_prefix_deviation(counts, means), lam
 
-    samples = _map_replications(one, replications, workers)
-    return summarize_deviations(samples, theoretical), samples
+    devs, lams = replicate(one, replications, seed).T
+    return summarize_deviations(devs, theoretical), DeviationSamples(devs, lambda_draw=lams)
 
 
-def lambda_correlation(samples: Sequence[DeviationSample]) -> float:
+def lambda_correlation(samples: DeviationSamples) -> float:
     """Pearson correlation between latent draws and maximal deviations."""
-    pairs = [(s.lambda_draw, s.max_abs_dev) for s in samples]
-    if len(pairs) < 2:
+    lams, devs = samples.lambda_draw, samples.max_abs_dev
+    if lams is None:
+        raise DomainError("invalid-parameter", "samples carry no lambda_draw")
+    if devs.size < 2:
         raise DomainError("invalid-parameter", "need at least 2 samples with lambda_draw")
-    if any(lam is None for lam, _ in pairs):
-        raise DomainError("invalid-parameter", "every sample must carry a lambda_draw")
-    lams = np.array([lam for lam, _ in pairs])
-    devs = np.array([d for _, d in pairs])
     if lams.std() == 0.0 or devs.std() == 0.0:
         raise DomainError("zero-variance", "correlation undefined for a constant sequence")
     return float(np.corrcoef(lams, devs)[0, 1])
@@ -318,7 +307,6 @@ def amplification_check(
     design: MomentMatchedDesign,
     replications: int,
     seed: int,
-    workers: int = 1,
 ) -> AmplificationResult:
     """Compare mean maximal deviations across the matched pair of models.
 
@@ -328,12 +316,8 @@ def amplification_check(
     """
     if replications < 100:
         raise DomainError("invalid-parameter", "amplification check needs >= 100 replications")
-    indep_summary, _ = run_independent_experiment(
-        design.independent, replications, 0.05, seed, workers
-    )
-    dep_summary, _ = run_dependent_experiment(
-        design.mixture, replications, 0.05, seed, workers
-    )
+    indep_summary, _ = run_independent_experiment(design.independent, replications, 0.05, seed)
+    dep_summary, _ = run_dependent_experiment(design.mixture, replications, 0.05, seed)
     return AmplificationResult(
         indep_mean=indep_summary.mean,
         dep_mean=dep_summary.mean,
@@ -348,7 +332,6 @@ def efficiency_curve(
     replications: int,
     seed: int,
     alpha_level: float = 0.05,
-    workers: int = 1,
 ) -> list[tuple[float, float]]:
     """Bound efficiency of homogeneous NB2 designs across dispersions.
 
@@ -362,6 +345,6 @@ def efficiency_curve(
     curve = []
     for kappa in kappa_grid:
         params = [NB2Params(base_mu, kappa)] * n
-        summary, _ = run_nb2_experiment(params, replications, alpha_level, seed, workers)
+        summary, _ = run_nb2_experiment(params, replications, alpha_level, seed)
         curve.append((float(kappa), summary.efficiency))
     return curve

@@ -26,8 +26,7 @@ import numpy as np
 
 from .bounds import control_limit
 from .errors import DomainError
-from .rng import RngHandle
-from .simulation import DeviationSample, SimulationSummary, summarize_deviations
+from .simulation import SimulationSummary, replicate, summarize_deviations
 
 __all__ = [
     "Region",
@@ -37,6 +36,7 @@ __all__ = [
     "epi_control_limits",
     "start_monitoring",
     "monitor_step",
+    "epi_max_deviations",
     "run_epi_validation",
     "load_scenario",
     "load_counts",
@@ -203,17 +203,26 @@ def _sample_weekly_counts(scenario: EpiScenario, gen: np.random.Generator) -> np
     return counts
 
 
-def _max_deviation(scenario: EpiScenario, counts: np.ndarray, mode: str) -> float:
+def epi_max_deviations(
+    scenario: EpiScenario, replications: int, seed: int
+) -> dict[str, np.ndarray]:
+    """Maximal deviations of each replication under every ordering.
+
+    Each replication draws its (weeks, regions) count matrix once and
+    reduces it under both orderings; returns ``{mode: array}`` keyed by
+    the names in ``EPI_MAX_MODES``.
+    """
     mus = np.array([r.weekly_mu for r in scenario.regions])
-    if mode == "region-prefix":
-        # cumulate each region over the horizon, then prefix over regions
-        centered = counts.sum(axis=0) - scenario.weeks * mus
-        return float(np.abs(np.cumsum(centered)).max())
-    if mode == "time-prefix":
-        # weekly all-region totals, prefix over time
-        centered = counts.sum(axis=1) - mus.sum()
-        return float(np.abs(np.cumsum(centered)).max())
-    raise DomainError("invalid-parameter", f"mode must be one of {EPI_MAX_MODES}, got {mode!r}")
+
+    def one(gen: np.random.Generator) -> tuple[float, float]:
+        counts = _sample_weekly_counts(scenario, gen)
+        # region-prefix: cumulate each region over the horizon, then prefix over regions
+        by_region = counts.sum(axis=0) - scenario.weeks * mus
+        # time-prefix: weekly all-region totals, prefix over time
+        by_week = counts.sum(axis=1) - mus.sum()
+        return np.abs(np.cumsum(by_region)).max(), np.abs(np.cumsum(by_week)).max()
+
+    return dict(zip(EPI_MAX_MODES, replicate(one, replications, seed).T))
 
 
 def run_epi_validation(
@@ -233,18 +242,11 @@ def run_epi_validation(
     orderings of the same deviation field are exposed because the scenario
     leaves the index order of the maximum open.
     """
-    if replications < 1:
-        raise DomainError("invalid-parameter", "replications must be >= 1")
     if mode not in EPI_MAX_MODES:
         raise DomainError("invalid-parameter", f"mode must be one of {EPI_MAX_MODES}, got {mode!r}")
     theoretical = control_limit(scenario.tweedie_variance(), alpha_level)
-    master = RngHandle(seed)
-    samples = []
-    for rep in range(replications):
-        gen = master.stream(rep).generator()
-        counts = _sample_weekly_counts(scenario, gen)
-        samples.append(DeviationSample(_max_deviation(scenario, counts, mode)))
-    return summarize_deviations(samples, theoretical)
+    devs = epi_max_deviations(scenario, replications, seed)[mode]
+    return summarize_deviations(devs, theoretical)
 
 
 # -- file formats -----------------------------------------------------------

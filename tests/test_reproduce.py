@@ -1,6 +1,9 @@
+import hashlib
 import json
 import math
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from nbbounds.reproduce import (
@@ -11,9 +14,26 @@ from nbbounds.reproduce import (
     reproduce_table2,
     write_report,
 )
+from nbbounds.surveillance import reference_scenario, run_epi_validation
 
 SEED = 42
 SMALL = 300
+
+# sha256 of `reproduce all --seed 42` at the default replication counts.
+# The tree digest hashes the file contents concatenated in sorted-name
+# order. numpy's gamma and Poisson algorithms define the mapping from a
+# Philox stream to draws, so a mismatch can also come from a numpy upgrade.
+GOLDEN_TREE_SHA256 = "6c38cd206c015c0c5759323d77e9e7f2add0f3b600a1fa89bb8a0cf7be2a1400"
+GOLDEN_FILE_SHA256 = {
+    "fig1.csv": "10006e374072a12d33cf2b9877880517a9552c1077ae2d1e13f8329827785808",
+    "fig2.csv": "b40d455510c5a7404046e7475b8c05b31ac08382cc36a6ff6e7821774430a794",
+    "fig4.csv": "801d348913a477059f1f81c4636de85b96a41ff7153da282bfad962d0bdc46b3",
+    "fig5.csv": "abdc5d0dababf15553d2e57c38353c749f674e6bfb7b5c13e08d647a3b3cca83",
+    "fig6.csv": "32ed4858d7f168c2bb4bdb0b6e025c95ebdfa7da82a1753cd1a3dad568265b0d",
+    "fig7.csv": "abb5a10619946c7212a08cc43202c0e496fea6bfe0b2e0f05ec7aecd72fca0e5",
+    "fig8.csv": "11c0aae9f165724c70402ee6b9fa693f191835c2e77217ca090b80c7d8f2f852",
+    "report.json": "61f4caaada79b9c5e62c7118961e43c0ac976d647e7b756ef2a34e6946563d4f",
+}
 
 
 @pytest.fixture(scope="module")
@@ -30,7 +50,7 @@ class TestTable2Section:
         for row in table.values():
             expected = 100.0 * (row["dependent"] / row["independent"] - 1.0)
             assert row["percent_change"] == pytest.approx(expected, rel=1e-12)
-        assert len(samples["independent"]) == SMALL
+        assert len(samples["independent"].max_abs_dev) == SMALL
         assert abs(match["aggregate_variance_gap_pct"]) < 5.0
         assert len(match["per_component_variance_gap_pct"]) == 20
 
@@ -50,6 +70,12 @@ class TestEpiSection:
         assert set(epi["mode_p95"]) == {"region-prefix", "time-prefix"}
         assert epi["p95"] == epi["mode_p95"][epi["max_ordering_mode"]]
         assert 0.0 <= epi["exceedance_rate"] <= 0.05
+
+    def test_modes_share_draws_with_single_mode_validation(self):
+        epi = reproduce_epi(7, 500)
+        for mode in ("region-prefix", "time-prefix"):
+            summary = run_epi_validation(reference_scenario(), 500, 0.05, 7, mode=mode)
+            assert epi["mode_p95"][mode] == summary.p95
 
 
 class TestFigureSeries:
@@ -75,9 +101,7 @@ class TestFigureSeries:
     def test_reuses_table2_samples(self):
         _, _, samples = reproduce_table2(SEED, SMALL)
         series = reproduce_figures(SEED, SMALL, table2_samples=samples)
-        assert series["fig7"]["max_abs_dev"] == [
-            s.max_abs_dev for s in samples["dependent"]
-        ]
+        assert series["fig7"]["max_abs_dev"] == samples["dependent"].max_abs_dev.tolist()
 
 
 class TestReportWriting:
@@ -119,6 +143,21 @@ class TestReportWriting:
     def test_unknown_target_rejected(self):
         with pytest.raises(ValueError):
             build_report("everything")
+
+    def test_default_seed_outputs_match_golden_sha256(self, tmp_path):
+        paths = sorted(write_report(build_report("all", seed=SEED), str(tmp_path)))
+        tree = hashlib.sha256()
+        per_file = {}
+        for path in map(Path, paths):
+            data = path.read_bytes()
+            tree.update(data)
+            per_file[path.name] = hashlib.sha256(data).hexdigest()
+        assert sorted(per_file) == sorted(GOLDEN_FILE_SHA256)
+        for name, digest in per_file.items():
+            assert digest == GOLDEN_FILE_SHA256[name], (
+                f"{name} differs from the seed-{SEED} golden output (numpy {np.__version__})"
+            )
+        assert tree.hexdigest() == GOLDEN_TREE_SHA256, f"tree digest differs (numpy {np.__version__})"
 
     def test_nan_serialized_as_null(self, tmp_path):
         report = ReproductionReport(environment={"seed": 1, "x": math.nan})

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nbbounds import (
-    DeviationSample,
+    DeviationSamples,
     DomainError,
     GammaMixture,
     NB2Params,
@@ -13,8 +13,11 @@ from nbbounds import (
     control_limit,
     design_from_mixture,
     efficiency_curve,
+    epi_max_deviations,
     lambda_correlation,
+    reference_scenario,
     run_dependent_experiment,
+    run_epi_validation,
     run_independent_experiment,
     run_nb2_experiment,
     sample_mixture_counts,
@@ -68,8 +71,7 @@ class TestDesign:
 
 class TestSummary:
     def test_percentile_rule_linear_interpolation(self):
-        samples = [DeviationSample(float(v)) for v in range(101)]
-        s = summarize_deviations(samples, theoretical_lambda=50.0)
+        s = summarize_deviations(np.arange(101.0), theoretical_lambda=50.0)
         assert s.median == pytest.approx(50.0)
         assert s.p95 == pytest.approx(95.0)
         assert s.p99 == pytest.approx(99.0)
@@ -77,7 +79,7 @@ class TestSummary:
 
     def test_invariants(self, independent_run):
         s, samples = independent_run
-        devs = np.array([d.max_abs_dev for d in samples])
+        devs = samples.max_abs_dev
         assert s.replications == REPS
         assert s.efficiency == pytest.approx(s.p95 / s.theoretical_lambda, rel=1e-12)
         assert s.exceedance_rate == pytest.approx(np.mean(devs >= s.theoretical_lambda))
@@ -108,20 +110,36 @@ class TestIndependentExperiment:
         s, samples = run_independent_experiment([q], 1, 0.05, SEED)
         gen = RngHandle(SEED, 0).generator()
         x = gen.poisson(gen.gamma(q.r, (1 - q.p) / q.p))
-        assert samples[0].max_abs_dev == pytest.approx(abs(x - q.mean()))
-        assert samples[0].lambda_draw is None
+        assert samples.max_abs_dev[0] == pytest.approx(abs(x - q.mean()))
+        assert samples.lambda_draw is None
         assert s.sd == 0.0
 
-    def test_workers_do_not_change_results(self, design):
-        runs = [
-            run_independent_experiment(design.independent, 300, 0.05, SEED, workers=w)[0]
-            for w in (1, 2, 8)
-        ]
-        assert runs[0] == runs[1] == runs[2]
+    def test_replication_prefix_is_stable(self, design):
+        # replication i depends only on stream i, so a longer run extends a
+        # shorter one instead of changing it
+        def columns(reps):
+            _, indep = run_independent_experiment(design.independent, reps, 0.05, SEED)
+            _, dep = run_dependent_experiment(design.mixture, reps, 0.05, SEED)
+            return {
+                "independent": indep.max_abs_dev,
+                "dependent": dep.max_abs_dev,
+                "lambda_draw": dep.lambda_draw,
+                **epi_max_deviations(reference_scenario(), reps, SEED),
+            }
+
+        short, long = columns(100), columns(300)
+        assert len(short) == 5
+        for name, column in short.items():
+            assert np.array_equal(column, long[name][:100]), name
 
     def test_rejects_zero_replications(self, design):
-        with pytest.raises(DomainError):
-            run_independent_experiment(design.independent, 0, 0.05, SEED)
+        for run in (
+            lambda: run_independent_experiment(design.independent, 0, 0.05, SEED),
+            lambda: run_dependent_experiment(design.mixture, 0, 0.05, SEED),
+            lambda: run_epi_validation(reference_scenario(), 0, 0.05, SEED),
+        ):
+            with pytest.raises(DomainError, match="replications must be >= 1"):
+                run()
 
 
 class TestDependentExperiment:
@@ -138,7 +156,9 @@ class TestDependentExperiment:
 
     def test_lambda_draw_recorded(self, dependent_run):
         _, samples = dependent_run
-        assert all(d.lambda_draw is not None and d.lambda_draw > 0 for d in samples)
+        assert samples.lambda_draw is not None
+        assert samples.lambda_draw.shape == (REPS,)
+        assert np.all(samples.lambda_draw > 0)
 
     def test_exceedance_within_mc_tolerance(self, dependent_run):
         s, _ = dependent_run
@@ -171,16 +191,17 @@ class TestLambdaCorrelation:
         assert lambda_correlation(samples) == pytest.approx(0.433, abs=0.06)
 
     def test_perfect_correlation(self):
-        samples = [DeviationSample(v, lambda_draw=v) for v in (1.0, 2.0, 5.0)]
+        values = np.array([1.0, 2.0, 5.0])
+        samples = DeviationSamples(values, lambda_draw=values)
         assert lambda_correlation(samples) == pytest.approx(1.0)
 
     def test_zero_variance_rejected(self):
-        samples = [DeviationSample(v, lambda_draw=1.0) for v in (1.0, 2.0)]
+        samples = DeviationSamples(np.array([1.0, 2.0]), lambda_draw=np.array([1.0, 1.0]))
         with pytest.raises(DomainError, match="zero-variance"):
             lambda_correlation(samples)
 
     def test_missing_lambda_rejected(self):
-        samples = [DeviationSample(1.0), DeviationSample(2.0)]
+        samples = DeviationSamples(np.array([1.0, 2.0]))
         with pytest.raises(DomainError):
             lambda_correlation(samples)
 
