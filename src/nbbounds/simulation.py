@@ -8,9 +8,10 @@ the two models against each other with identical marginal first moments
 and near-identical second moments, isolating the effect of dependence.
 
 Every experiment runs through one kernel, :func:`replicate`: replication
-``i`` draws from stream ``i`` of the master seed and is reduced to a few
-floats, so a replication's result is a pure function of its index and the
-first ``k`` replications of any run are the same ``k`` values.
+``i`` draws from stream ``i`` of the master seed and returns its raw draws
+as one row, so a replication's result is a pure function of its index and
+the first ``k`` replications of any run are the same ``k`` rows. The rows
+are then reduced to maximal deviations as one array.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from .bounds import control_limit, dependent_kolmogorov_bound, invert_bound, tweedie_variance
 from .distributions import GammaMixture, NBParams, NB2Params, sample_mixture_counts
 from .errors import DomainError
-from .rng import RngHandle
+from .rng import streams
 
 __all__ = [
     "DeviationSamples",
@@ -183,13 +184,30 @@ def replicate(
 
     Returns the results stacked as floats: shape ``(replications,)`` when
     ``one`` returns a scalar, ``(replications, k)`` when it returns ``k``
-    values.
+    values. ``one`` gets a generator re-keyed in place to the start of each
+    stream (see :func:`~nbbounds.rng.streams`); it must not keep that
+    generator past its call. Callers reduce the stacked rows as whole
+    arrays afterwards.
     """
     if replications < 1:
         raise DomainError("invalid-parameter", "replications must be >= 1")
-    return np.array(
-        [one(RngHandle(seed, i).generator()) for i in range(replications)], dtype=float
-    )
+    rows = None
+    for i, gen in enumerate(streams(seed, range(replications))):
+        row = one(gen)
+        if rows is None:
+            rows = np.empty((replications, *np.shape(row)))
+        rows[i] = row
+    return rows
+
+
+def _scalar_if_constant(values: np.ndarray):
+    """``values`` as one float when all its entries are equal, else unchanged.
+
+    numpy draws entry ``i`` with the same routine and parameters either
+    way, so the draws are identical; a scalar parameter skips the checks
+    numpy runs in Python on every array parameter of every call.
+    """
+    return float(values[0]) if values.size and np.all(values == values[0]) else values
 
 
 def _nb2_replication_sampler(params: Sequence[NB2Params]):
@@ -203,24 +221,35 @@ def _nb2_replication_sampler(params: Sequence[NB2Params]):
     kappas = np.array([q.kappa for q in params])
     mus = np.array([q.mu for q in params])
     over = kappas > 0.0
-    shape_over = 1.0 / kappas[over]
-    scale_over = (kappas * mus)[over]  # (1-p)/p of the implied NB
-    mu_poisson = mus[~over]
+    n_over, n_poisson = int(over.sum()), int((~over).sum())
+    shape_over = _scalar_if_constant(1.0 / kappas[over])
+    scale_over = _scalar_if_constant((kappas * mus)[over])  # (1-p)/p of the implied NB
+    mu_poisson = _scalar_if_constant(mus[~over])
 
     def draw(gen: np.random.Generator) -> np.ndarray:
         counts = np.zeros(len(params))
-        if shape_over.size:
-            g = gen.gamma(shape_over, scale_over)
+        if n_over:
+            g = gen.gamma(shape_over, scale_over, size=n_over)
             counts[over] = gen.poisson(g)
-        if mu_poisson.size:
-            counts[~over] = gen.poisson(mu_poisson)
+        if n_poisson:
+            counts[~over] = gen.poisson(mu_poisson, size=n_poisson)
         return counts
 
     return draw
 
 
-def _max_abs_prefix_deviation(counts: np.ndarray, means: np.ndarray) -> float:
-    return float(np.abs(np.cumsum(counts - means)).max())
+def _max_abs_prefix_deviation(counts: np.ndarray, means) -> np.ndarray:
+    """``max_k |sum_{i<=k} (counts_i - means_i)|`` along the last axis.
+
+    Works in place: ``counts`` (a float array) is overwritten with the
+    absolute prefix deviations. A cumulative sum along an axis adds in the
+    same order as the cumulative sum of each row on its own, so every row
+    gets the value of its own scalar reduction.
+    """
+    deviations = np.subtract(counts, means, out=counts)
+    np.cumsum(deviations, axis=-1, out=deviations)
+    np.abs(deviations, out=deviations)
+    return deviations.max(axis=-1)
 
 
 def run_nb2_experiment(
@@ -238,9 +267,7 @@ def run_nb2_experiment(
     theoretical = control_limit(tweedie_variance(params), alpha_level)
     means = np.array([q.mu for q in params])
     draw = _nb2_replication_sampler(params)
-    devs = replicate(
-        lambda gen: _max_abs_prefix_deviation(draw(gen), means), replications, seed
-    )
+    devs = _max_abs_prefix_deviation(replicate(draw, replications, seed), means)
     return summarize_deviations(devs, theoretical), DeviationSamples(devs)
 
 
@@ -272,11 +299,13 @@ def run_dependent_experiment(
     )
     means = model.marginal_means()
 
-    def one(gen: np.random.Generator) -> tuple[float, float]:
+    def one(gen: np.random.Generator) -> np.ndarray:
         lam, counts = sample_mixture_counts(model, gen)
-        return _max_abs_prefix_deviation(counts, means), lam
+        return np.append(counts, lam)
 
-    devs, lams = replicate(one, replications, seed).T
+    rows = replicate(one, replications, seed)
+    devs = _max_abs_prefix_deviation(rows[:, :-1], means)
+    lams = rows[:, -1]
     return summarize_deviations(devs, theoretical), DeviationSamples(devs, lambda_draw=lams)
 
 

@@ -26,7 +26,12 @@ import numpy as np
 
 from .bounds import control_limit
 from .errors import DomainError
-from .simulation import SimulationSummary, replicate, summarize_deviations
+from .simulation import (
+    SimulationSummary,
+    _max_abs_prefix_deviation,
+    replicate,
+    summarize_deviations,
+)
 
 __all__ = [
     "Region",
@@ -208,21 +213,26 @@ def epi_max_deviations(
 ) -> dict[str, np.ndarray]:
     """Maximal deviations of each replication under every ordering.
 
-    Each replication draws its (weeks, regions) count matrix once and
-    reduces it under both orderings; returns ``{mode: array}`` keyed by
-    the names in ``EPI_MAX_MODES``.
+    Each replication draws its (weeks, regions) count matrix once and keeps
+    only its per-region and per-week sums; both orderings are then reduced
+    over all replications at once. Returns ``{mode: array}`` keyed by the
+    names in ``EPI_MAX_MODES``.
     """
     mus = np.array([r.weekly_mu for r in scenario.regions])
+    n_regions = len(mus)
 
-    def one(gen: np.random.Generator) -> tuple[float, float]:
+    def one(gen: np.random.Generator) -> np.ndarray:
+        # the regions' horizon totals, then the weekly all-region totals
         counts = _sample_weekly_counts(scenario, gen)
-        # region-prefix: cumulate each region over the horizon, then prefix over regions
-        by_region = counts.sum(axis=0) - scenario.weeks * mus
-        # time-prefix: weekly all-region totals, prefix over time
-        by_week = counts.sum(axis=1) - mus.sum()
-        return np.abs(np.cumsum(by_region)).max(), np.abs(np.cumsum(by_week)).max()
+        return np.concatenate((counts.sum(axis=0), counts.sum(axis=1)))
 
-    return dict(zip(EPI_MAX_MODES, replicate(one, replications, seed).T))
+    sums = replicate(one, replications, seed)
+    return {
+        # region-prefix: cumulate each region over the horizon, then prefix over regions
+        "region-prefix": _max_abs_prefix_deviation(sums[:, :n_regions], scenario.weeks * mus),
+        # time-prefix: weekly all-region totals, prefix over time
+        "time-prefix": _max_abs_prefix_deviation(sums[:, n_regions:], mus.sum()),
+    }
 
 
 def run_epi_validation(

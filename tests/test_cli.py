@@ -234,6 +234,17 @@ class TestReproduceCommand:
         b = (tmp_path / "w8" / "report.json").read_bytes()
         assert a == b
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_out_of_range_seed_exit_1(self, tmp_path, seed):
+        proc = run_cli(
+            "reproduce", "all", "--seed", seed, "--reps", "10", "--out", str(tmp_path),
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: invalid-parameter: seed ")
+        assert seed in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert list(tmp_path.iterdir()) == []
+
     def test_fresh_seed_recorded(self, tmp_path):
         proc = run_cli(
             "reproduce", "epi", "--fresh", "--reps", "100", "--out", str(tmp_path),

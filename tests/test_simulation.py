@@ -23,6 +23,7 @@ from nbbounds import (
     sample_mixture_counts,
     summarize_deviations,
 )
+from nbbounds.simulation import _max_abs_prefix_deviation, _nb2_replication_sampler
 
 SEED = 42
 REPS = 2000
@@ -114,6 +115,32 @@ class TestIndependentExperiment:
         assert samples.lambda_draw is None
         assert s.sd == 0.0
 
+    @pytest.mark.parametrize(
+        "params",
+        [
+            [NB2Params(5.0, 0.25)] * 20,
+            [NB2Params(5.0, 0.0)] * 20,
+            [NB2Params(5.0, 0.5), NB2Params(5.0, 0.0), NB2Params(5.0, 0.5), NB2Params(3.0, 0.0)],
+            [NB2Params(2.0, 0.5), NB2Params(5.0, 0.2)],
+        ],
+    )
+    def test_sampler_draws_as_with_array_parameters(self, params):
+        # constant parameters go to numpy as scalars; the draws must equal
+        # the per-variable array form, gammas first, then Poissons
+        kappas = np.array([q.kappa for q in params])
+        mus = np.array([q.mu for q in params])
+        over = kappas > 0.0
+        draw = _nb2_replication_sampler(params)
+        for i in range(5):
+            gen = RngHandle(SEED, i).generator()
+            expected = np.zeros(len(params))
+            if over.any():
+                g = gen.gamma(1.0 / kappas[over], (kappas * mus)[over])
+                expected[over] = gen.poisson(g)
+            if not over.all():
+                expected[~over] = gen.poisson(mus[~over])
+            assert np.array_equal(draw(RngHandle(SEED, i).generator()), expected)
+
     def test_replication_prefix_is_stable(self, design):
         # replication i depends only on stream i, so a longer run extends a
         # shorter one instead of changing it
@@ -140,6 +167,45 @@ class TestIndependentExperiment:
         ):
             with pytest.raises(DomainError, match="replications must be >= 1"):
                 run()
+
+
+def _scalar_max_abs_prefix_deviation(counts, means) -> float:
+    return float(np.abs(np.cumsum(counts - means)).max())
+
+
+class TestArrayReductions:
+    def test_whole_array_equals_per_row_definition(self):
+        gen = np.random.default_rng(2024)
+        counts = gen.normal(50.0, 20.0, size=(400, 23))
+        means = gen.uniform(10.0, 90.0, size=23)
+        expected = [_scalar_max_abs_prefix_deviation(row, means) for row in counts]
+        got = _max_abs_prefix_deviation(counts.copy(), means)
+        assert got.shape == (400,)
+        assert np.array_equal(got, expected)
+
+    def test_column_view_and_scalar_mean(self):
+        gen = np.random.default_rng(7)
+        rows = gen.uniform(0.0, 1e3, size=(50, 13))
+        expected = [_scalar_max_abs_prefix_deviation(row[:-1], 321.123) for row in rows]
+        last = rows[:, -1].copy()
+        got = _max_abs_prefix_deviation(rows[:, :-1], 321.123)
+        assert np.array_equal(got, expected)
+        assert np.array_equal(rows[:, -1], last)  # untouched outside the view
+
+    def test_experiments_equal_per_replication_definition(self, design):
+        reps = 20
+        _, indep = run_independent_experiment(design.independent, reps, 0.05, SEED)
+        _, dep = run_dependent_experiment(design.mixture, reps, 0.05, SEED)
+        nb2 = [q.to_nb2() for q in design.independent]
+        draw = _nb2_replication_sampler(nb2)
+        indep_means = np.array([q.mu for q in nb2])
+        dep_means = design.mixture.marginal_means()
+        for i in range(reps):
+            counts = draw(RngHandle(SEED, i).generator())
+            assert indep.max_abs_dev[i] == _scalar_max_abs_prefix_deviation(counts, indep_means)
+            lam, counts = sample_mixture_counts(design.mixture, RngHandle(SEED, i).generator())
+            assert dep.max_abs_dev[i] == _scalar_max_abs_prefix_deviation(counts, dep_means)
+            assert dep.lambda_draw[i] == lam
 
 
 class TestDependentExperiment:

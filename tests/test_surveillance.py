@@ -11,6 +11,7 @@ from nbbounds import (
     Region,
     RngHandle,
     epi_control_limits,
+    epi_max_deviations,
     load_counts,
     load_scenario,
     monitor_step,
@@ -20,6 +21,7 @@ from nbbounds import (
     start_monitoring,
     write_history,
 )
+from nbbounds.surveillance import _sample_weekly_counts
 
 SEED = 42
 
@@ -174,6 +176,17 @@ class TestEpiValidation:
         assert matching, {m: s.p95 for m, s in by_mode.items()}
         for s in by_mode.values():
             assert s.exceedance_rate <= 0.05
+
+    def test_columns_equal_per_replication_recomputation(self, scenario):
+        reps = 20
+        columns = epi_max_deviations(scenario, reps, SEED)
+        mus = np.array([r.weekly_mu for r in scenario.regions])
+        for i in range(reps):
+            counts = _sample_weekly_counts(scenario, RngHandle(SEED, i).generator())
+            by_region = counts.sum(axis=0) - scenario.weeks * mus
+            by_week = counts.sum(axis=1) - mus.sum()
+            assert columns["region-prefix"][i] == np.abs(np.cumsum(by_region)).max()
+            assert columns["time-prefix"][i] == np.abs(np.cumsum(by_week)).max()
 
     def test_unknown_mode_rejected(self, scenario):
         with pytest.raises(DomainError):
