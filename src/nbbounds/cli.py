@@ -94,9 +94,23 @@ def _parse_thetas(text: str) -> list[float]:
         path = text[1:]
         try:
             with open(path, encoding="utf-8") as fh:
-                return [float(line) for line in fh if line.strip()]
+                lines = fh.readlines()
         except OSError as exc:
             raise DomainError("invalid-parameter", f"cannot read thetas file {path}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise DomainError("invalid-parameter", f"thetas file {path} is not UTF-8: {exc}") from None
+        thetas = []
+        for line_number, line in enumerate(lines, start=1):
+            if not line.strip():
+                continue
+            try:
+                thetas.append(float(line))
+            except ValueError:
+                raise DomainError(
+                    "invalid-parameter",
+                    f"cannot parse thetas file {path} at line {line_number}: {line.strip()!r}",
+                ) from None
+        return thetas
     try:
         return [float(chunk) for chunk in text.split(",") if chunk.strip()]
     except ValueError:
@@ -237,8 +251,12 @@ def _cmd_monitor(args) -> int:
     for row in counts:
         state = monitor_step(state, row, fitted_mu)
     if args.out:
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            write_history(state, fh)
+        try:
+            with open(args.out, "w", newline="", encoding="utf-8") as fh:
+                write_history(state, fh)
+        except OSError as exc:
+            print(f"error: cannot write to {args.out}: {exc}", file=sys.stderr)
+            return EXIT_DOMAIN_ERROR
     else:
         write_history(state, sys.stdout)
     return EXIT_ALARM if state.any_alarm() else EXIT_OK
@@ -278,7 +296,9 @@ def build_parser() -> argparse.ArgumentParser:
     reproduce.add_argument(
         "--fresh", action="store_true", help="draw a fresh seed instead of the default"
     )
-    reproduce.add_argument("--reps", type=int, help="override replication counts")
+    reproduce.add_argument(
+        "--reps", type=int, help="override replication counts (table2, figures, all: >= 2)"
+    )
     reproduce.add_argument(
         "--workers", type=int, default=1, help="accepted for compatibility; has no effect"
     )

@@ -1,5 +1,10 @@
 """Negative Binomial parameterizations, moments, MGFs, and sampling.
 
+Every sampler of the package lives here, with the NB2 mapping: an NB2
+``(mu, kappa)`` count is ``Poisson(Gamma(shape=1/kappa, scale=kappa*mu))``,
+and ``Poisson(mu)`` at ``kappa == 0``. No other module calls a generator's
+``gamma`` or ``poisson``.
+
 Two NB parameterizations are supported with exact interconversion: the
 classical ``(r, p)`` form (``r`` successes, success probability ``p``; ``r``
 may be any positive real) and the GLM-standard NB2 form ``(mu, kappa)`` with
@@ -226,12 +231,52 @@ def sample_nb2(
     rng: RngHandle | np.random.Generator,
     size: int | None = None,
 ):
-    """Draw from NB2(mu, kappa); ``kappa == 0`` samples the Poisson limit."""
+    """Draw from NB2(mu, kappa): ``size`` draws equal the row that
+    :func:`_nb2_replication_sampler` draws for ``size`` copies of ``params``."""
     gen = as_generator(rng)
-    if params.kappa == 0.0:
-        draw = gen.poisson(params.mu, size=size)
-        return int(draw) if size is None else draw
-    return sample_nb(nb_from_mu_kappa(params), gen, size=size)
+    rate = params.mu  # the Poisson limit, kappa == 0
+    if params.kappa > 0.0:
+        rate = gen.gamma(1.0 / params.kappa, params.kappa * params.mu, size=size)
+    draw = gen.poisson(rate, size=size)
+    return int(draw) if size is None else draw
+
+
+def _scalar_if_constant(values: np.ndarray):
+    """``values`` as one float when all its entries are equal, else unchanged.
+
+    numpy draws entry ``i`` with the same routine and parameters either
+    way, so the draws are identical; a scalar parameter skips the checks
+    numpy runs in Python on every array parameter of every call.
+    """
+    return float(values[0]) if values.size and np.all(values == values[0]) else values
+
+
+def _nb2_replication_sampler(params: Sequence[NB2Params]):
+    """Per-replication sampler drawing one count per NB2 variable.
+
+    Gamma-Poisson pairs for overdispersed variables, plain Poisson for the
+    kappa == 0 limit. All gammas are drawn before all Poissons; that order
+    defines the stream-to-draw mapping, so per-variable ``sample_nb2`` calls
+    would not reproduce it for a design of more than one variable.
+    """
+    kappas = np.array([q.kappa for q in params])
+    mus = np.array([q.mu for q in params])
+    over = kappas > 0.0
+    n_over, n_poisson = int(over.sum()), int((~over).sum())
+    shape_over = _scalar_if_constant(1.0 / kappas[over])
+    scale_over = _scalar_if_constant((kappas * mus)[over])
+    mu_poisson = _scalar_if_constant(mus[~over])
+
+    def draw(gen: np.random.Generator) -> np.ndarray:
+        counts = np.zeros(len(params))
+        if n_over:
+            g = gen.gamma(shape_over, scale_over, size=n_over)
+            counts[over] = gen.poisson(g)
+        if n_poisson:
+            counts[~over] = gen.poisson(mu_poisson, size=n_poisson)
+        return counts
+
+    return draw
 
 
 def sample_mixture_counts(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -22,6 +23,7 @@ from .bounds import (
     invert_bound,
     kolmogorov_independent_bound,
 )
+from .errors import DomainError
 from .simulation import (
     DeviationSamples,
     MomentMatchedDesign,
@@ -72,6 +74,9 @@ class ReproductionReport:
 
 
 def _percent_change(independent: float, dependent: float) -> float:
+    # a few replications can tie, leaving a zero sd; NaN is written as null
+    if independent == 0.0:
+        return math.nan
     return 100.0 * (dependent / independent - 1.0)
 
 
@@ -103,8 +108,13 @@ def reproduce_table2(
     """Moment-matched comparison; returns (table rows, match report, samples).
 
     The samples (independent and dependent) are returned so figure
-    builders can reuse the same runs.
+    builders can reuse the same runs. Needs at least 2 replications, for the
+    sample standard deviations and the latent-rate correlation.
     """
+    if replications < 2:
+        raise DomainError(
+            "invalid-parameter", f"table2 needs at least 2 replications, got {replications}"
+        )
     design = build_moment_matched_design()
     indep_summary, indep_samples = run_independent_experiment(
         design.independent, replications, 0.05, seed

@@ -1,17 +1,17 @@
 """Seeded Monte Carlo experiments on maximal partial-sum deviations.
 
 The engine measures ``max_k |S_k|`` where ``S_k`` is the k-th prefix sum of
-centered counts, under two sampling models: independent NB variables, and
-the shared-Gamma mixture (one latent draw per replication, deviations taken
+centered counts, for two models: independent NB variables, and the
+shared-Gamma mixture (one latent draw per replication, deviations taken
 against unconditional means). The moment-matched experimental design pits
 the two models against each other with identical marginal first moments
 and near-identical second moments, isolating the effect of dependence.
 
-Every experiment runs through one kernel, :func:`replicate`: replication
-``i`` draws from stream ``i`` of the master seed and returns its raw draws
-as one row, so a replication's result is a pure function of its index and
-the first ``k`` replications of any run are the same ``k`` rows. The rows
-are then reduced to maximal deviations as one array.
+Every experiment runs a sampler of :mod:`nbbounds.distributions` through
+one kernel, :func:`replicate`: replication ``i`` gets stream ``i`` of the
+master seed and returns its raw draws as one row, so a replication's result
+is a pure function of its index and the first ``k`` replications of any
+run are the same ``k`` rows. The rows are then reduced as one array.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import numpy as np
 
 from .bounds import control_limit, dependent_kolmogorov_bound, invert_bound, tweedie_variance
 from .distributions import GammaMixture, NBParams, NB2Params, sample_mixture_counts
+from .distributions import _nb2_replication_sampler
 from .errors import DomainError
 from .rng import streams
 
@@ -198,44 +199,6 @@ def replicate(
             rows = np.empty((replications, *np.shape(row)))
         rows[i] = row
     return rows
-
-
-def _scalar_if_constant(values: np.ndarray):
-    """``values`` as one float when all its entries are equal, else unchanged.
-
-    numpy draws entry ``i`` with the same routine and parameters either
-    way, so the draws are identical; a scalar parameter skips the checks
-    numpy runs in Python on every array parameter of every call.
-    """
-    return float(values[0]) if values.size and np.all(values == values[0]) else values
-
-
-def _nb2_replication_sampler(params: Sequence[NB2Params]):
-    """Per-replication sampler drawing one count per NB2 variable.
-
-    Gamma-Poisson pairs for overdispersed variables, plain Poisson for the
-    kappa == 0 limit. All gammas are drawn before all Poissons; that order
-    defines the stream-to-draw mapping, so per-variable ``sample_nb`` calls
-    would not reproduce it.
-    """
-    kappas = np.array([q.kappa for q in params])
-    mus = np.array([q.mu for q in params])
-    over = kappas > 0.0
-    n_over, n_poisson = int(over.sum()), int((~over).sum())
-    shape_over = _scalar_if_constant(1.0 / kappas[over])
-    scale_over = _scalar_if_constant((kappas * mus)[over])  # (1-p)/p of the implied NB
-    mu_poisson = _scalar_if_constant(mus[~over])
-
-    def draw(gen: np.random.Generator) -> np.ndarray:
-        counts = np.zeros(len(params))
-        if n_over:
-            g = gen.gamma(shape_over, scale_over, size=n_over)
-            counts[over] = gen.poisson(g)
-        if n_poisson:
-            counts[~over] = gen.poisson(mu_poisson, size=n_poisson)
-        return counts
-
-    return draw
 
 
 def _max_abs_prefix_deviation(counts: np.ndarray, means) -> np.ndarray:

@@ -25,6 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .bounds import control_limit
+from .distributions import NB2Params, sample_nb2
 from .errors import DomainError
 from .simulation import (
     SimulationSummary,
@@ -72,7 +73,9 @@ class EpiScenario:
 
     Weekly counts within a region are independent, so the cumulative mean
     and variance over the horizon are ``weeks * mu`` and
-    ``weeks * (mu + kappa * mu**2)``.
+    ``weeks * (mu + kappa * mu**2)``. A region without an id is named
+    ``region_<position>``; ids must be unique, since count columns are
+    matched to regions by id.
     """
 
     regions: tuple[Region, ...]
@@ -88,6 +91,11 @@ class EpiScenario:
             r if r.id else Region(r.weekly_mu, r.kappa, f"region_{i + 1}")
             for i, r in enumerate(regions)
         )
+        seen = set()
+        for r in named:
+            if r.id in seen:
+                raise DomainError("invalid-parameter", f"duplicate region id {r.id!r}")
+            seen.add(r.id)
         object.__setattr__(self, "regions", named)
         object.__setattr__(self, "weeks", int(weeks))
 
@@ -194,37 +202,25 @@ def monitor_step(
     )
 
 
-def _sample_weekly_counts(scenario: EpiScenario, gen: np.random.Generator) -> np.ndarray:
-    """One (weeks, regions) matrix of weekly draws, region by region."""
-    counts = np.zeros((scenario.weeks, len(scenario.regions)))
-    for j, region in enumerate(scenario.regions):
-        if region.kappa == 0.0:
-            counts[:, j] = gen.poisson(region.weekly_mu, size=scenario.weeks)
-        else:
-            shape = 1.0 / region.kappa
-            scale = region.kappa * region.weekly_mu
-            g = gen.gamma(shape, scale, size=scenario.weeks)
-            counts[:, j] = gen.poisson(g)
-    return counts
-
-
 def epi_max_deviations(
     scenario: EpiScenario, replications: int, seed: int
 ) -> dict[str, np.ndarray]:
     """Maximal deviations of each replication under every ordering.
 
-    Each replication draws its (weeks, regions) count matrix once and keeps
+    Each replication draws its (regions, weeks) count matrix once and keeps
     only its per-region and per-week sums; both orderings are then reduced
     over all replications at once. Returns ``{mode: array}`` keyed by the
     names in ``EPI_MAX_MODES``.
     """
-    mus = np.array([r.weekly_mu for r in scenario.regions])
-    n_regions = len(mus)
+    params = [NB2Params(r.weekly_mu, r.kappa) for r in scenario.regions]
+    mus = np.array([q.mu for q in params])
+    n_regions = len(params)
 
     def one(gen: np.random.Generator) -> np.ndarray:
-        # the regions' horizon totals, then the weekly all-region totals
-        counts = _sample_weekly_counts(scenario, gen)
-        return np.concatenate((counts.sum(axis=0), counts.sum(axis=1)))
+        # drawn region by region, one row of weeks each; returns the regions'
+        # horizon totals, then the weekly all-region totals
+        counts = np.array([sample_nb2(q, gen, size=scenario.weeks) for q in params])
+        return np.concatenate((counts.sum(axis=1), counts.sum(axis=0)))
 
     sums = replicate(one, replications, seed)
     return {
@@ -283,6 +279,8 @@ def load_scenario(source: str | io.TextIOBase) -> tuple[EpiScenario, list[float]
             doc = json.load(source)
     except OSError as exc:
         raise DomainError("invalid-parameter", f"cannot read scenario file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DomainError("invalid-parameter", f"scenario file is not UTF-8: {exc}") from None
     except json.JSONDecodeError as exc:
         raise DomainError("invalid-parameter", f"scenario file is not valid JSON: {exc}") from exc
     try:
@@ -330,6 +328,8 @@ def load_counts(source: str | io.TextIOBase, scenario: EpiScenario) -> np.ndarra
                 return load_counts(fh, scenario)
         except OSError as exc:
             raise DomainError("invalid-parameter", f"cannot read counts file: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise DomainError("invalid-parameter", f"counts file is not UTF-8: {exc}") from None
     reader = csv.reader(source)
     try:
         header = next(reader)

@@ -33,6 +33,16 @@ def run_cli(*args, **kwargs):
     )
 
 
+def assert_error_exit_1(proc, *fragments):
+    """Exit 1 with one ``error:`` line holding every fragment, no traceback."""
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1, proc.stderr
+    for fragment in fragments:
+        assert fragment in errors[0]
+
+
 @pytest.fixture(scope="module")
 def scenario_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("scenario") / "scenario.json"
@@ -79,6 +89,16 @@ class TestBoundCommand:
             "--lambda", "10",
         )
         assert proc.returncode == 0
+
+    def test_thetas_file_bad_line_exit_1(self, tmp_path):
+        theta_file = tmp_path / "thetas.txt"
+        theta_file.write_text("7\n\nfive\n")
+        proc = run_cli(
+            "bound", "kolmogorov-dep",
+            "--shape", "4", "--rate", "4", "--thetas", f"@{theta_file}",
+            "--lambda", "10",
+        )
+        assert_error_exit_1(proc, str(theta_file), "line 3", "'five'")
 
     def test_delimited_format(self):
         proc = run_cli(
@@ -129,6 +149,13 @@ class TestLimitCommand:
         proc = run_cli("limit", "--scenario", "/does/not/exist.json")
         assert proc.returncode == 1
         assert "cannot read scenario file" in proc.stderr
+
+    def test_non_utf8_scenario_exit_1(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"regions": [{"id": "caf\xe9", "weekly_mu": 210, "kappa": 0.35}], '
+                         b'"weeks": 12}')
+        proc = run_cli("limit", "--scenario", str(path))
+        assert_error_exit_1(proc, "scenario file is not UTF-8")
 
     def test_invalid_json_exit_1(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -193,6 +220,36 @@ class TestMonitorCommand:
         assert "error:" in proc.stderr and "line 3" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_non_utf8_counts_exit_1(self, scenario_file, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"region_1,region_2,region_3,region_4,region_5\n1,2,3,4,5\xe9\n")
+        proc = run_cli("monitor", "--scenario", scenario_file, "--counts", str(path))
+        assert_error_exit_1(proc, "counts file is not UTF-8")
+
+    def test_unwritable_history_exit_1(self, scenario_file, tmp_path):
+        out = tmp_path / "missing" / "h.csv"
+        proc = run_cli(
+            "monitor", "--scenario", scenario_file,
+            "--counts", self._counts_csv(tmp_path, [[210, 340, 290, 480, 380]]),
+            "--out", str(out),
+        )
+        assert_error_exit_1(proc, f"cannot write to {out}")
+        assert proc.stdout == ""
+
+    def test_duplicate_region_ids_exit_1(self, tmp_path):
+        scenario = tmp_path / "dup.json"
+        scenario.write_text(json.dumps({
+            "regions": [
+                {"id": "a", "weekly_mu": 10, "kappa": 0.1},
+                {"id": "a", "weekly_mu": 20, "kappa": 0.1},
+            ],
+            "weeks": 4,
+        }))
+        counts = tmp_path / "counts.csv"
+        counts.write_text("a,b\n10,20\n")
+        proc = run_cli("monitor", "--scenario", str(scenario), "--counts", str(counts))
+        assert_error_exit_1(proc, "duplicate region id 'a'")
+
     def test_malformed_row_exit_1_names_line(self, scenario_file, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("region_1,region_2,region_3,region_4,region_5\n1,2,3,4,oops\n")
@@ -244,6 +301,28 @@ class TestReproduceCommand:
         assert seed in proc.stderr
         assert "Traceback" not in proc.stderr
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("which", ["table2", "figures", "all"])
+    def test_single_replication_table_exit_1(self, tmp_path, which):
+        proc = run_cli("reproduce", which, "--reps", "1", "--out", str(tmp_path))
+        assert_error_exit_1(proc, "table2 needs at least 2 replications, got 1")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_single_replication_epi_runs(self, tmp_path):
+        proc = run_cli("reproduce", "epi", "--reps", "1", "--out", str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads((tmp_path / "report.json").read_text())
+        assert doc["environment"]["replications"] == {"epi": 1}
+
+    def test_tied_replications_give_null_percent_change(self, tmp_path):
+        # at seed 270 both independent replications reach the same maximum
+        proc = run_cli(
+            "reproduce", "table2", "--seed", "270", "--reps", "2", "--out", str(tmp_path),
+        )
+        assert proc.returncode == 0, proc.stderr
+        sd = json.loads((tmp_path / "report.json").read_text())["table2"]["sd"]
+        assert sd["independent"] == 0.0
+        assert sd["percent_change"] is None
 
     def test_fresh_seed_recorded(self, tmp_path):
         proc = run_cli(

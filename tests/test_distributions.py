@@ -16,6 +16,7 @@ from nbbounds import (
     sample_nb,
     sample_nb2,
 )
+from nbbounds.distributions import _nb2_replication_sampler
 
 from helpers import quad_mixture_pmf
 
@@ -174,6 +175,21 @@ class TestGammaMixture:
                 assert abs(exact - quad_mixture_pmf(k, alpha, beta, theta)) < 1e-8
 
 
+class _RecordingGenerator:
+    """A generator that records the arguments of its ``gamma`` calls."""
+
+    def __init__(self):
+        self._gen = RngHandle(0).generator()
+        self.gamma_calls = []
+
+    def gamma(self, shape, scale, size=None):
+        self.gamma_calls.append((shape, scale, size))
+        return self._gen.gamma(shape, scale, size=size)
+
+    def poisson(self, lam, size=None):
+        return self._gen.poisson(lam, size=size)
+
+
 class TestSampling:
     def test_sample_nb_moments(self):
         draws = sample_nb(NBParams(3, 0.3), RngHandle(42, 0), size=10**6)
@@ -201,6 +217,22 @@ class TestSampling:
         a = sample_nb2(nb2, RngHandle(5, 1), size=100)
         b = sample_nb(nb_from_mu_kappa(nb2), RngHandle(5, 1), size=100)
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "nb2", [NB2Params(5.0, 0.25), NB2Params(290.0, 0.4), NB2Params(5.0, 0.0)]
+    )
+    def test_sample_nb2_equals_replication_sampler_row(self, nb2):
+        # one mapping: n draws of sample_nb2 are the row the Monte Carlo
+        # kernel draws for n copies of the variable, gamma parameters included
+        n = 12
+        draw = _nb2_replication_sampler([nb2] * n)
+        for i in range(3):
+            row = draw(RngHandle(42, i).generator())
+            np.testing.assert_array_equal(sample_nb2(nb2, RngHandle(42, i), size=n), row)
+        public, kernel = _RecordingGenerator(), _RecordingGenerator()
+        sample_nb2(nb2, public, size=n)
+        draw(kernel)
+        assert public.gamma_calls == kernel.gamma_calls
 
     def test_determinism(self):
         h = RngHandle(123, 9)

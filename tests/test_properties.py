@@ -1,4 +1,6 @@
-"""Property tests of the tail bounds and their inversion."""
+"""Property tests of the tail bounds, their inversion and the weekly monitor."""
+
+import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,8 +11,11 @@ from nbbounds import (
     bernstein_dependent_bound,
     chernoff_mean_deviation_bound,
     dependent_kolmogorov_bound,
+    exact_max_deviation_tail_oracle,
     invert_bound,
     kolmogorov_independent_bound,
+    monitor_step,
+    start_monitoring,
 )
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
@@ -73,3 +78,49 @@ def test_invert_bound_round_trips(bound, alpha):
 
     lam_star = invert_bound(value, alpha)
     assert value(lam_star) <= alpha < value(lam_star * (1.0 - 1e-9))
+
+
+# small enough for the exact oracle's joint support budget
+small_nb_params = st.lists(
+    st.builds(NBParams, r=st.floats(0.5, 6.0), p=st.floats(0.25, 0.95)),
+    min_size=1,
+    max_size=3,
+)
+
+
+@PROPERTY_SETTINGS
+@given(params=small_nb_params, scale=st.floats(0.2, 4.0))
+def test_oracle_tail_within_kolmogorov_bound(params, scale):
+    lam = scale * math.sqrt(sum(q.variance() for q in params))
+    oracle = exact_max_deviation_tail_oracle(params, lam)
+    bound = kolmogorov_independent_bound(params, lam).bound_value
+    assert oracle.value <= bound + 1e-9
+
+
+# whole numbers keep every sum exact, so additivity can be checked with ==
+weekly_rows = st.integers(1, 4).flatmap(
+    lambda regions: st.tuples(
+        st.lists(st.integers(0, 500).map(float), min_size=regions, max_size=regions),
+        st.lists(
+            st.lists(st.integers(0, 1000).map(float), min_size=regions, max_size=regions),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+)
+
+
+@PROPERTY_SETTINGS
+@given(data=weekly_rows, limit=st.floats(1.0, 2000.0))
+def test_monitor_step_adds_weekly_deviations(data, limit):
+    fitted, weeks = data
+    state = start_monitoring(limit, len(weeks))
+    expected = 0.0
+    for t, counts in enumerate(weeks, start=1):
+        previous = state
+        state = monitor_step(state, counts, fitted)
+        expected += sum(c - m for c, m in zip(counts, fitted))
+        assert state.cumulative_deviation == expected
+        assert state.alarm == (abs(expected) >= limit)
+        assert state.history == previous.history + ((t, expected, state.alarm),)
+        assert previous.period_index == t - 1  # the input state is untouched

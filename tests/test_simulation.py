@@ -23,7 +23,8 @@ from nbbounds import (
     sample_mixture_counts,
     summarize_deviations,
 )
-from nbbounds.simulation import _max_abs_prefix_deviation, _nb2_replication_sampler
+from nbbounds.distributions import _nb2_replication_sampler
+from nbbounds.simulation import _max_abs_prefix_deviation
 
 SEED = 42
 REPS = 2000

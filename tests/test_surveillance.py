@@ -21,7 +21,6 @@ from nbbounds import (
     start_monitoring,
     write_history,
 )
-from nbbounds.surveillance import _sample_weekly_counts
 
 SEED = 42
 
@@ -50,6 +49,27 @@ class TestScenario:
             EpiScenario([Region(210, 0.35)], 0)
         with pytest.raises(DomainError):
             Region(-1.0, 0.2)
+
+    @pytest.mark.parametrize(
+        "regions, duplicate",
+        [
+            ([Region(1.0, 0.1, "a"), Region(2.0, 0.1, "b"), Region(3.0, 0.1, "a")], "a"),
+            # an explicit id may not take the default name of a later region
+            ([Region(1.0, 0.1, "region_2"), Region(2.0, 0.1)], "region_2"),
+        ],
+    )
+    def test_duplicate_region_ids_rejected(self, regions, duplicate):
+        with pytest.raises(DomainError, match=f"duplicate region id '{duplicate}'"):
+            EpiScenario(regions, 4)
+        doc = {
+            "regions": [
+                {"weekly_mu": r.weekly_mu, "kappa": r.kappa, **({"id": r.id} if r.id else {})}
+                for r in regions
+            ],
+            "weeks": 4,
+        }
+        with pytest.raises(DomainError, match=f"duplicate region id '{duplicate}'"):
+            load_scenario(io.StringIO(json.dumps(doc)))
 
 
 class TestControlLimits:
@@ -181,8 +201,10 @@ class TestEpiValidation:
         reps = 20
         columns = epi_max_deviations(scenario, reps, SEED)
         mus = np.array([r.weekly_mu for r in scenario.regions])
+        params = [NB2Params(r.weekly_mu, r.kappa) for r in scenario.regions]
         for i in range(reps):
-            counts = _sample_weekly_counts(scenario, RngHandle(SEED, i).generator())
+            gen = RngHandle(SEED, i).generator()
+            counts = np.column_stack([sample_nb2(q, gen, size=scenario.weeks) for q in params])
             by_region = counts.sum(axis=0) - scenario.weeks * mus
             by_week = counts.sum(axis=1) - mus.sum()
             assert columns["region-prefix"][i] == np.abs(np.cumsum(by_region)).max()
