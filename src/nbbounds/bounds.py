@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .distributions import GammaMixture, NBParams, NB2Params, nb_log_mgf
+from .distributions import GammaMixture, NBParams, NB2Params
 from .errors import DomainError
 
 __all__ = [
@@ -146,12 +146,24 @@ def chernoff_mean_deviation_bound(params: Sequence[NBParams], a: float) -> Bound
     total_mean = sum(q.mean() for q in params)
     p_min = min(q.p for q in params)
     t_max = -math.log1p(-p_min)
-
-    def log_objective(t: float) -> float:
-        return -t * n * a - t * total_mean + sum(nb_log_mgf(q, t) for q in params)
-
     eps = 1e-10
     lo, hi = eps * t_max, (1.0 - eps) * t_max
+
+    # (r, log p, log(1-p)) per variable, computed once: the objective then
+    # evaluates nb_log_mgf's expression, in its order, in plain floats; every
+    # t the search visits lies in [lo, hi], so the domain guard runs once, at hi
+    terms = [(q.r, math.log(q.p), math.log1p(-q.p)) for q in params]
+    for _, _, log_q in terms:
+        if hi >= -log_q:
+            raise DomainError(
+                "mgf-domain-exceeded", f"t = {hi} is outside the MGF domain t < {-log_q}"
+            )
+
+    def log_objective(t: float) -> float:
+        return -t * n * a - t * total_mean + sum(
+            r * (log_p - math.log(-math.expm1(t + log_q))) for r, log_p, log_q in terms
+        )
+
     t_star, log_min, iterations, converged = _golden_section_minimize(
         log_objective, lo, hi, tol=1e-10 * t_max
     )

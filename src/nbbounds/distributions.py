@@ -124,6 +124,11 @@ class GammaMixture:
     component ``i`` is ``Poisson(Lambda * thetas[i])`` independently. Each
     marginal is ``NB(gamma_shape, gamma_rate/(gamma_rate + theta_i))``.
     All loadings must be strictly positive.
+
+    The loading totals the mixture bounds read, ``total_theta()`` and
+    ``max_prefix()``, are computed once, at construction. They are plain
+    attributes, not fields, so equality, hashing and ``repr`` see the three
+    fields alone and ``dataclasses.replace`` recomputes them.
     """
 
     gamma_shape: float
@@ -143,6 +148,8 @@ class GammaMixture:
         object.__setattr__(self, "gamma_shape", float(gamma_shape))
         object.__setattr__(self, "gamma_rate", float(gamma_rate))
         object.__setattr__(self, "thetas", thetas)
+        object.__setattr__(self, "_total_theta", float(np.sum(thetas)))
+        object.__setattr__(self, "_max_prefix", float(np.cumsum(thetas).max()))
 
     @property
     def n(self) -> int:
@@ -153,11 +160,11 @@ class GammaMixture:
         return np.cumsum(self.thetas)
 
     def total_theta(self) -> float:
-        return float(np.sum(self.thetas))
+        return self._total_theta
 
     def max_prefix(self) -> float:
         """Largest prefix sum; equals the total because loadings are positive."""
-        return float(self.prefix_sums().max())
+        return self._max_prefix
 
     def marginal(self, i: int) -> NBParams:
         theta = self.thetas[i]

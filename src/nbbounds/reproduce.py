@@ -60,6 +60,9 @@ FIG8_N = 20
 
 _EPI_P95_TARGET = 3018.0
 _EPI_P95_RTOL = 0.05
+# the ordering whose statistics the epi section reports, fixed in advance so
+# that no seed can pick the ordering that happens to match the reference
+_EPI_REPORTED_MODE = "time-prefix"
 
 
 @dataclass
@@ -136,9 +139,10 @@ def reproduce_epi(seed: int, replications: int = EPI_REPLICATIONS) -> dict:
     """Cumulative-limit validation for the calibrated 5-region scenario.
 
     The maximal deviation is computed under both index orderings from the
-    same draws; the region-prefix result is reported when it lands within
-    5% of the reference 95th percentile, otherwise the time-prefix result
-    is, and the selection is recorded either way.
+    same draws. The reported statistics always come from the time-prefix
+    ordering (weekly prefixes of the all-region total), whatever the seed;
+    ``mode_p95`` and ``mode_matches_reference`` record, per ordering, the
+    95th percentile and whether it lands within 5% of the reference one.
     """
     scenario = reference_scenario()
     v_n = scenario.tweedie_variance()
@@ -151,8 +155,7 @@ def reproduce_epi(seed: int, replications: int = EPI_REPLICATIONS) -> dict:
     def matches(summary: SimulationSummary) -> bool:
         return abs(summary.p95 - _EPI_P95_TARGET) <= _EPI_P95_RTOL * _EPI_P95_TARGET
 
-    selected = "region-prefix" if matches(by_mode["region-prefix"]) else "time-prefix"
-    chosen = by_mode[selected]
+    chosen = by_mode[_EPI_REPORTED_MODE]
     return {
         "v_n": float(v_n),
         "lambda_05": lambda_05,
@@ -160,7 +163,7 @@ def reproduce_epi(seed: int, replications: int = EPI_REPLICATIONS) -> dict:
         "p95": chosen.p95,
         "efficiency": chosen.efficiency,
         "exceedance_rate": chosen.exceedance_rate,
-        "max_ordering_mode": selected,
+        "max_ordering_mode": _EPI_REPORTED_MODE,
         "mode_matches_reference": {m: matches(s) for m, s in by_mode.items()},
         "mode_p95": {m: s.p95 for m, s in by_mode.items()},
         "total_expected": float(scenario.total_expected()),

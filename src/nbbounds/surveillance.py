@@ -240,9 +240,11 @@ def run_epi_validation(
 ) -> SimulationSummary:
     """Monte Carlo check of the cumulative control limit.
 
-    Each replication draws the full weekly count matrix (cumulative counts
-    are sums of independent weekly NB2 draws, not a single NB draw, since
-    NB2 shapes do not add across weeks). The maximal deviation is taken
+    Each replication draws the full weekly count matrix, since the
+    time-prefix ordering needs every week's counts. (A region's horizon
+    total alone would be one NB draw: its weeks are iid NB2, and iid NB
+    shapes add at a common ``p``, so ``weeks`` weeks of NB2(mu, kappa) sum
+    to ``NB(weeks/kappa, 1/(1 + kappa*mu))``.) The maximal deviation is taken
     either across region prefixes at the horizon (``region-prefix``) or
     across weekly prefixes of the all-region total (``time-prefix``); both
     orderings of the same deviation field are exposed because the scenario
@@ -268,8 +270,9 @@ def load_scenario(source: str | io.TextIOBase) -> tuple[EpiScenario, list[float]
          "alpha_levels": [0.05, 0.01]}
 
     ``id`` is optional and defaults to region_1, region_2, ... Numeric
-    fields must parse as numbers and ``weeks`` must be a whole number; a
-    bad field raises a ``DomainError`` naming it.
+    fields must parse as numbers, ``weeks`` must be a whole number and each
+    alpha level must lie in (0, 1); a bad field raises a ``DomainError``
+    naming it.
     """
     try:
         if isinstance(source, str):
@@ -303,6 +306,11 @@ def load_scenario(source: str | io.TextIOBase) -> tuple[EpiScenario, list[float]
         raise DomainError(
             "invalid-parameter", f"scenario field weeks must be a whole number, got {weeks}"
         )
+    for i, a in enumerate(alphas):
+        if not 0.0 < a < 1.0:  # also false for NaN
+            raise DomainError(
+                "invalid-parameter", f"scenario field alpha_levels[{i}] must lie in (0, 1), got {a}"
+            )
     return EpiScenario(regions, int(weeks)), alphas
 
 

@@ -157,6 +157,12 @@ class TestLimitCommand:
         proc = run_cli("limit", "--scenario", str(path))
         assert_error_exit_1(proc, "scenario file is not UTF-8")
 
+    def test_non_finite_alpha_level_exit_1(self, tmp_path):
+        path = tmp_path / "alpha.json"
+        path.write_text(json.dumps({**SCENARIO, "alpha_levels": [0.05, float("inf")]}))
+        proc = run_cli("limit", "--scenario", str(path))
+        assert_error_exit_1(proc, "alpha_levels[1]", "inf")
+
     def test_invalid_json_exit_1(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

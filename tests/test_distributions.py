@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -133,6 +134,16 @@ class TestGammaMixture:
         assert m.max_prefix() == pytest.approx(m.total_theta())
         assert np.all(np.diff(m.prefix_sums()) > 0)
 
+    def test_stored_totals_are_not_fields(self):
+        m = GammaMixture(4, 4, [7, 5, 24 / 7])
+        assert [f.name for f in dataclasses.fields(m)] == ["gamma_shape", "gamma_rate", "thetas"]
+        twin = GammaMixture(4.0, 4.0, (7.0, 5.0, 24 / 7))
+        assert m == twin and hash(m) == hash(twin)
+        assert repr(m) == f"GammaMixture(gamma_shape=4.0, gamma_rate=4.0, thetas=(7.0, 5.0, {24 / 7!r}))"
+        shorter = dataclasses.replace(m, thetas=(1.0, 2.0))
+        assert (shorter.total_theta(), shorter.max_prefix()) == (3.0, 3.0)
+        assert m.prefix_sums() is not m.prefix_sums()
+
     def test_marginals(self):
         m = GammaMixture(4, 4, [7, 5])
         q = m.marginal(0)
@@ -213,10 +224,24 @@ class TestSampling:
         assert abs(draws.var(ddof=1) - 5.0) < 0.15
 
     def test_sample_nb2_matches_conversion(self):
-        nb2 = NB2Params(7.0, 1.0 / 3.0)
-        a = sample_nb2(nb2, RngHandle(5, 1), size=100)
-        b = sample_nb(nb_from_mu_kappa(nb2), RngHandle(5, 1), size=100)
-        np.testing.assert_array_equal(a, b)
+        # sample_nb2 and sample_nb(nb_from_mu_kappa(.)) pass numpy Gamma scales
+        # that may differ by one ulp (they do for NB2(290, 0.4)), so they agree
+        # in distribution, not draw for draw: the sample moments must match
+        # mu and mu + kappa*mu**2, the converted NB's moments, within 6
+        # standard errors
+        n = 10**6
+        for nb2 in (NB2Params(7.0, 1.0 / 3.0), NB2Params(290.0, 0.4)):
+            draws = sample_nb2(nb2, RngHandle(5, 1), size=n)
+            q = nb_from_mu_kappa(nb2)
+            mean, var = nb2.mu, nb2.mu + nb2.kappa * nb2.mu**2
+            assert q.mean() == pytest.approx(mean, rel=1e-12)
+            assert q.variance() == pytest.approx(var, rel=1e-12)
+            # var(sample variance) ~ var**2 * (excess kurtosis + 2) / n
+            excess_kurtosis = 6.0 / q.r + q.p**2 / (q.r * (1.0 - q.p))
+            assert abs(draws.mean() - mean) < 6.0 * math.sqrt(var / n)
+            assert abs(draws.var(ddof=1) - var) < (
+                6.0 * var * math.sqrt((excess_kurtosis + 2.0) / n)
+            )
 
     @pytest.mark.parametrize(
         "nb2", [NB2Params(5.0, 0.25), NB2Params(290.0, 0.4), NB2Params(5.0, 0.0)]

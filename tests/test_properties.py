@@ -1,22 +1,37 @@
-"""Property tests of the tail bounds, their inversion and the weekly monitor."""
+"""Property tests of the tail bounds, their inversion, the weekly monitor
+and the input loaders."""
 
+import io
+import json
 import math
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nbbounds import (
+    BoundResult,
+    DomainError,
+    EpiScenario,
     GammaMixture,
     NBParams,
+    OptimizerDiagnostics,
+    Region,
     bernstein_dependent_bound,
     chernoff_mean_deviation_bound,
     dependent_kolmogorov_bound,
     exact_max_deviation_tail_oracle,
     invert_bound,
     kolmogorov_independent_bound,
+    load_counts,
+    load_scenario,
     monitor_step,
+    nb_log_mgf,
     start_monitoring,
 )
+from nbbounds import distributions
+from nbbounds.bounds import _golden_section_minimize
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -124,3 +139,150 @@ def test_monitor_step_adds_weekly_deviations(data, limit):
         assert state.alarm == (abs(expected) >= limit)
         assert state.history == previous.history + ((t, expected, state.alarm),)
         assert previous.period_index == t - 1  # the input state is untouched
+
+
+# -- stored loading totals and the hoisted Chernoff constants ---------------
+
+
+class _PerCallTotals:
+    """A mixture whose loading totals are reduced with numpy on every call."""
+
+    def __init__(self, model: GammaMixture):
+        self.gamma_shape = model.gamma_shape
+        self.gamma_rate = model.gamma_rate
+        self.thetas = model.thetas
+
+    def total_theta(self) -> float:
+        return float(np.sum(self.thetas))
+
+    def max_prefix(self) -> float:
+        return float(np.cumsum(self.thetas).max())
+
+
+# up to 30 loadings, so np.sum's pairwise blocks are exercised too
+many_theta_mixtures = st.builds(
+    GammaMixture,
+    gamma_shape=st.floats(0.2, 20.0),
+    gamma_rate=st.floats(0.2, 20.0),
+    thetas=st.lists(st.floats(0.1, 100.0), min_size=1, max_size=30),
+)
+
+
+@PROPERTY_SETTINGS
+@given(model=many_theta_mixtures)
+def test_loading_totals_equal_numpy_reductions(model):
+    assert model.total_theta() == float(np.sum(model.thetas))
+    assert model.max_prefix() == float(np.cumsum(model.thetas).max())
+
+
+@PROPERTY_SETTINGS
+@given(model=many_theta_mixtures, lam=thresholds)
+def test_mixture_bounds_equal_per_call_reductions(model, lam):
+    per_call = _PerCallTotals(model)
+    for bound in (dependent_kolmogorov_bound, bernstein_dependent_bound):
+        assert bound(model, lam) == bound(per_call, lam)
+
+
+def test_mixture_bounds_do_no_numpy_reductions(monkeypatch):
+    model = GammaMixture(3.0, 1.5, [float(k) for k in range(1, 21)])
+    bounds = (dependent_kolmogorov_bound, bernstein_dependent_bound)
+    expected = [bound(model, lam) for bound in bounds for lam in (10.0, 400.0)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy reduction while evaluating a mixture bound")
+
+    monkeypatch.setattr(distributions.np, "sum", refuse)
+    monkeypatch.setattr(distributions.np, "cumsum", refuse)
+    with pytest.raises(AssertionError):  # the patch bites: construction reduces
+        GammaMixture(3.0, 1.5, [1.0])
+    assert [bound(model, lam) for bound in bounds for lam in (10.0, 400.0)] == expected
+    for bound in bounds:
+        invert_bound(lambda lam, bound=bound: bound(model, lam).bound_value, 0.05)
+
+
+def _chernoff_over_nb_log_mgf(params, a) -> BoundResult:
+    """The Chernoff bound searched over the public ``nb_log_mgf`` objective."""
+    n = len(params)
+    total_mean = sum(q.mean() for q in params)
+    t_max = -math.log1p(-min(q.p for q in params))
+
+    def objective(t):
+        return -t * n * a - t * total_mean + sum(nb_log_mgf(q, t) for q in params)
+
+    t_star, log_min, iterations, converged = _golden_section_minimize(
+        objective, 1e-10 * t_max, (1.0 - 1e-10) * t_max, tol=1e-10 * t_max
+    )
+    raw = math.exp(log_min)
+    return BoundResult(
+        threshold=float(a),
+        bound_value=min(1.0, raw),
+        raw_value=raw,
+        optimizer=OptimizerDiagnostics(t_star, iterations, converged),
+    )
+
+
+@PROPERTY_SETTINGS
+@given(params=nb_params, a=st.floats(1e-3, 50.0))
+def test_chernoff_equals_search_over_nb_log_mgf(params, a):
+    assert chernoff_mean_deviation_bound(params, a) == _chernoff_over_nb_log_mgf(params, a)
+
+
+# -- loaders reject non-finite numbers --------------------------------------
+
+# json.dumps writes the floats as NaN, Infinity and -Infinity, which
+# json.load reads back; the strings go through float() in the loader
+non_finite = st.sampled_from([math.nan, math.inf, -math.inf, "nan", "inf", "-inf"])
+
+
+@PROPERTY_SETTINGS
+@given(
+    n_regions=st.integers(1, 3),
+    n_alphas=st.integers(1, 3),
+    bad=non_finite,
+    data=st.data(),
+)
+def test_load_scenario_rejects_non_finite_numbers(n_regions, n_alphas, bad, data):
+    doc = {
+        "regions": [
+            {"weekly_mu": data.draw(st.floats(1.0, 500.0)), "kappa": data.draw(st.floats(0.0, 2.0))}
+            for _ in range(n_regions)
+        ],
+        "weeks": data.draw(st.integers(1, 52)),
+        "alpha_levels": [data.draw(st.floats(1e-4, 0.5)) for _ in range(n_alphas)],
+    }
+    load_scenario(io.StringIO(json.dumps(doc)))  # the valid document loads
+    fields = (
+        [("regions", i, key) for i in range(n_regions) for key in ("weekly_mu", "kappa")]
+        + [("weeks",)]
+        + [("alpha_levels", j) for j in range(n_alphas)]
+    )
+    *path, last = data.draw(st.sampled_from(fields))
+    target = doc
+    for key in path:
+        target = target[key]
+    target[last] = bad
+    named = rf"alpha_levels\[{last}\]" if path == ["alpha_levels"] else None
+    with pytest.raises(DomainError, match=named):
+        load_scenario(io.StringIO(json.dumps(doc)))
+
+
+@PROPERTY_SETTINGS
+@given(
+    rows=st.integers(1, 3).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(0, 1000), min_size=n, max_size=n), min_size=1, max_size=5
+        )
+    ),
+    bad=st.sampled_from(["nan", "NaN", "inf", "Infinity", "-inf", "-Infinity"]),
+    data=st.data(),
+)
+def test_load_counts_rejects_non_finite_cells(rows, bad, data):
+    ids = ["a", "b", "c"][: len(rows[0])]
+    scenario = EpiScenario([Region(10.0, 0.1, region_id) for region_id in ids], weeks=len(rows))
+    row = data.draw(st.integers(0, len(rows) - 1))
+    col = data.draw(st.integers(0, len(ids) - 1))
+    cells = [[str(c) for c in r] for r in rows]
+    cells[row][col] = bad
+    text = "\n".join([",".join(ids)] + [",".join(r) for r in cells]) + "\n"
+    with pytest.raises(DomainError, match=f"non-finite count at line {row + 2}"):
+        load_counts(io.StringIO(text), scenario)

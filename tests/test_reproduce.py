@@ -71,6 +71,14 @@ class TestEpiSection:
         assert epi["p95"] == epi["mode_p95"][epi["max_ordering_mode"]]
         assert 0.0 <= epi["exceedance_rate"] <= 0.05
 
+    def test_reports_time_prefix_when_region_prefix_matches_reference(self):
+        # at seed 0 the region-prefix p95 lands within 5% of the reference,
+        # and the reported ordering must not depend on that
+        epi = reproduce_epi(0, 1000)
+        assert epi["mode_matches_reference"]["region-prefix"]
+        assert epi["max_ordering_mode"] == "time-prefix"
+        assert epi["p95"] == epi["mode_p95"]["time-prefix"]
+
     def test_modes_share_draws_with_single_mode_validation(self):
         epi = reproduce_epi(7, 500)
         for mode in ("region-prefix", "time-prefix"):

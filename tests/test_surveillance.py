@@ -257,6 +257,15 @@ class TestFileFormats:
         with pytest.raises(DomainError, match=r"regions\[1\]\.weekly_mu"):
             load_scenario(io.StringIO(doc))
 
+    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.05, 1.5, '"nan"'])
+    def test_alpha_level_outside_unit_interval_named(self, bad):
+        doc = (
+            '{"regions": [{"weekly_mu": 5, "kappa": 0.1}], "weeks": 2, '
+            f'"alpha_levels": [0.05, {bad}]}}'
+        )
+        with pytest.raises(DomainError, match=r"alpha_levels\[1\] must lie in \(0, 1\)"):
+            load_scenario(io.StringIO(doc))
+
     def test_fractional_weeks_rejected(self):
         doc = '{"regions": [{"weekly_mu": 5, "kappa": 0.1}], "weeks": 2.9}'
         with pytest.raises(DomainError, match="weeks"):
