@@ -50,7 +50,7 @@ __all__ = [
 _INVERT_LAMBDA_CAP = 1e12
 # Marginal supports are truncated at this per-variable tail mass.
 _ORACLE_TAIL_MASS = 1e-12
-# Joint-state budget for the exact-tail oracle; also caps one marginal's scan.
+# Work budget for the exact-tail oracle's convolutions; also caps one marginal's scan.
 _ORACLE_MAX_STATES = 10**7
 # The marginal scan stops once the mass beyond it is below this share of the
 # truncation tail mass, so tails near the truncation point are exact to 1e-6.
@@ -346,14 +346,23 @@ def _truncated_pmf(q: NBParams) -> np.ndarray:
 
 
 def _truncated_pmfs(params: list[NBParams]) -> list[np.ndarray]:
-    """Truncated marginals, stopping as soon as the joint support is over budget."""
+    """Truncated marginals, stopping as soon as the convolutions are over budget.
+
+    The budget counts what convolving the marginals in order computes: the
+    sum over variables of ``len(partial sum pmf) * len(marginal pmf)``, plus
+    the length of the final partial-sum pmf.
+    """
     pmfs = []
-    states = 1
+    span = 1  # length of the partial-sum pmf so far
+    work = 0
     for q in params:
         pmfs.append(_truncated_pmf(q))
-        states *= len(pmfs[-1])
-        if states > _ORACLE_MAX_STATES:
-            raise _oracle_infeasible(f"truncated joint support has at least {states} states")
+        work += span * len(pmfs[-1])
+        span += len(pmfs[-1]) - 1
+        if work + span > _ORACLE_MAX_STATES:
+            raise _oracle_infeasible(
+                f"convolving the truncated marginals takes at least {work + span} steps"
+            )
     return pmfs
 
 

@@ -300,7 +300,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--reps", type=int, help="override replication counts (table2, figures, all: >= 2)"
     )
     reproduce.add_argument(
-        "--workers", type=int, default=1, help="accepted for compatibility; has no effect"
+        "--workers",
+        type=int,
+        default=1,
+        help="accepted for compatibility; has no effect (replications are split "
+        "across the usable CPUs automatically)",
     )
     reproduce.add_argument("--out", help=f"output directory (default ${OUT_ENV_VAR} or '.')")
     reproduce.set_defaults(handler=_cmd_reproduce)

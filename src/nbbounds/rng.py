@@ -5,7 +5,9 @@ Every stochastic routine in this package draws from a stream identified by
 counter-based bit generator, so distinct indices give statistically
 independent sequences and a replication's stream is a pure function of its
 index: the result of replication ``i`` does not depend on how many
-replications run or in what order.
+replications run, in what order, or in which process. That holds only if
+the code drawing a replication is a pure function of its generator, which
+is why :func:`nbbounds.simulation.replicate` may run it in forked workers.
 
 :func:`streams` walks many streams of one seed with a single generator,
 re-keyed in place at the start of each stream; that draws exactly what a

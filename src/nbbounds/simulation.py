@@ -12,11 +12,22 @@ one kernel, :func:`replicate`: replication ``i`` gets stream ``i`` of the
 master seed and returns its raw draws as one row, so a replication's result
 is a pure function of its index and the first ``k`` replications of any
 run are the same ``k`` rows. The rows are then reduced as one array.
+
+Because a row depends on nothing but its stream, :func:`replicate` splits
+the replications into contiguous shards and fills the later shards in
+forked worker processes, one per usable CPU; the result does not depend on
+the split. Every sampler it runs must therefore be a pure function of its
+generator: a side effect inside it happens in whichever process drew the
+row.
 """
 
 from __future__ import annotations
 
+import io
 import math
+import os
+import signal
+import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -176,6 +187,69 @@ def design_from_mixture(mixture: GammaMixture) -> MomentMatchedDesign:
     return MomentMatchedDesign(independent=independent, mixture=mixture)
 
 
+# Fewest replications worth a forked worker: a fork, pipe and reap cost
+# about 4 ms, one replication 12-60 us.
+_MIN_SHARD = 250
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _fill(one, seed: int, rows: np.ndarray, start: int) -> None:
+    """``rows[i] = one(stream start + i)`` for every row of ``rows``."""
+    for i, gen in enumerate(streams(seed, range(start, start + len(rows)))):
+        rows[i] = one(gen)
+
+
+def _fork_shard(one, seed: int, rows: np.ndarray, start: int) -> tuple[int, io.FileIO] | None:
+    """Fork a child that fills ``rows`` and writes their bytes down a pipe.
+
+    Returns the child's pid and the pipe's read end, or None when no child
+    could be started. The child never returns into the caller: it ends in
+    ``os._exit``, with status 0 only once every byte is written.
+    """
+    try:
+        read_fd, write_fd = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return None
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            _fill(one, seed, rows, start)
+            with open(write_fd, "wb") as pipe:
+                pipe.write(memoryview(rows).cast("B"))
+            status = 0
+        finally:
+            os._exit(status)
+    # closed before the next fork, so that no later child holds it open and
+    # the read of this pipe ends when this child does
+    os.close(write_fd)
+    return pid, open(read_fd, "rb", buffering=0)
+
+
+def _collect_shard(pid: int, pipe: io.FileIO, rows: np.ndarray) -> bool:
+    """Read a child's bytes into ``rows`` and reap it; True if it delivered them all."""
+    view = memoryview(rows).cast("B")
+    got = 0
+    with pipe:
+        while got < len(view) and (n := pipe.readinto(view[got:])):
+            got += n
+    _, status = os.waitpid(pid, 0)
+    return got == len(view) and os.waitstatus_to_exitcode(status) == 0
+
+
 def replicate(
     one: Callable[[np.random.Generator], float | Sequence[float]],
     replications: int,
@@ -189,15 +263,44 @@ def replicate(
     stream (see :func:`~nbbounds.rng.streams`); it must not keep that
     generator past its call. Callers reduce the stacked rows as whole
     arrays afterwards.
+
+    The replications are split into contiguous shards, one per usable CPU
+    and each at least ``_MIN_SHARD`` long; forked children fill the later
+    shards while this process fills the first. ``one`` must therefore be a
+    pure function of its generator, since it may run in another process.
+    The rows are the same for any split. A shard whose child cannot be
+    started or does not deliver is drawn again here, so an exception from
+    ``one`` reaches the caller as in a serial run. Runs serially when there
+    is one worker, no ``os.fork``, or more than one live thread.
     """
     if replications < 1:
         raise DomainError("invalid-parameter", "replications must be >= 1")
-    rows = None
-    for i, gen in enumerate(streams(seed, range(replications))):
-        row = one(gen)
-        if rows is None:
-            rows = np.empty((replications, *np.shape(row)))
-        rows[i] = row
+    row = one(next(streams(seed, [0])))
+    rows = np.empty((replications, *np.shape(row)))
+    rows[0] = row
+    workers = min(_usable_cpus(), replications // _MIN_SHARD)
+    if workers <= 1 or not hasattr(os, "fork") or threading.active_count() > 1:
+        _fill(one, seed, rows[1:], 1)
+        return rows
+    edges = [replications * k // workers for k in range(workers + 1)]
+    children = []  # (start, stop, pid and pipe, or None when not forked)
+    try:
+        for start, stop in zip(edges[1:-1], edges[2:]):
+            children.append((start, stop, _fork_shard(one, seed, rows[start:stop], start)))
+        _fill(one, seed, rows[1 : edges[1]], 1)
+        while children:
+            start, stop, child = children[0]
+            delivered = child is not None and _collect_shard(*child, rows[start:stop])
+            del children[0]
+            if not delivered:
+                _fill(one, seed, rows[start:stop], start)
+    finally:
+        for _, _, child in children:
+            if child is not None:
+                pid, pipe = child
+                pipe.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
     return rows
 
 

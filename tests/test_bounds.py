@@ -320,6 +320,30 @@ class TestExactTailOracle:
         with pytest.raises(DomainError, match="oracle-infeasible"):
             exact_mean_deviation_tail([NBParams(1.0, 0.01)], 1.0)
 
+    def test_paper_design_at_its_threshold(self, design):
+        # 20 marginals: their support sizes multiply to about 1.9e7, but the
+        # convolutions take 768,768 multiply-adds into a 1,267-long pmf
+        params = list(design.independent)
+        lam = invert_bound(lambda l: kolmogorov_independent_bound(params, l).bound_value, 0.05)
+        assert lam == pytest.approx(72.487, abs=1e-3)
+        oracle = exact_max_deviation_tail_oracle(params, lam)
+        assert oracle.value == pytest.approx(8.78e-5, rel=1e-3)
+        assert oracle.value <= kolmogorov_independent_bound(params, lam).bound_value
+        assert oracle.truncation_error <= 1e-10
+
+    def test_budget_counts_convolution_work(self, design, monkeypatch):
+        params = list(design.independent)
+        lengths = [len(bounds_module._truncated_pmf(q)) for q in params]
+        work, span = 0, 1
+        for n in lengths:
+            work, span = work + span * n, span + n - 1
+        assert (work, span) == (768_768, 1_267)
+        monkeypatch.setattr(bounds_module, "_ORACLE_MAX_STATES", work + span)
+        exact_max_deviation_tail_oracle(params, 72.5)
+        monkeypatch.setattr(bounds_module, "_ORACLE_MAX_STATES", work + span - 1)
+        with pytest.raises(DomainError, match="oracle-infeasible"):
+            exact_max_deviation_tail_oracle(params, 72.5)
+
     def test_mean_tail_hand_value(self):
         # P(X >= 3) for NB(2, 0.5): 1 - 0.25 - 0.25 - 0.1875
         oracle = exact_mean_deviation_tail([NBParams(2, 0.5)], 1.0)

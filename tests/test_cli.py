@@ -10,6 +10,8 @@ from nbbounds import (
     chernoff_mean_deviation_bound,
     control_limit,
 )
+from nbbounds import simulation
+from nbbounds.reproduce import build_report, write_report
 
 SCENARIO = {
     "regions": [
@@ -296,6 +298,19 @@ class TestReproduceCommand:
         a = (tmp_path / "w1" / "report.json").read_bytes()
         b = (tmp_path / "w8" / "report.json").read_bytes()
         assert a == b
+
+    def test_sharded_run_equals_one_worker(self, tmp_path, monkeypatch):
+        # 1,200 replications shard across every usable CPU in the subprocess
+        proc = run_cli(
+            "reproduce", "table2", "--seed", "42", "--reps", "1200",
+            "--out", str(tmp_path / "cli"),
+        )
+        assert proc.returncode == 0, proc.stderr
+        monkeypatch.setattr(simulation, "_usable_cpus", lambda: 1)
+        report = build_report("table2", seed=42, table2_replications=1200)
+        write_report(report, str(tmp_path / "serial"))
+        cli = (tmp_path / "cli" / "report.json").read_bytes()
+        assert cli == (tmp_path / "serial" / "report.json").read_bytes()
 
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_out_of_range_seed_exit_1(self, tmp_path, seed):

@@ -1,3 +1,6 @@
+import os
+import threading
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,7 @@ from nbbounds import (
     epi_max_deviations,
     lambda_correlation,
     reference_scenario,
+    replicate,
     run_dependent_experiment,
     run_epi_validation,
     run_independent_experiment,
@@ -23,11 +27,24 @@ from nbbounds import (
     sample_mixture_counts,
     summarize_deviations,
 )
+from nbbounds import simulation
 from nbbounds.distributions import _nb2_replication_sampler
 from nbbounds.simulation import _max_abs_prefix_deviation
 
 SEED = 42
 REPS = 2000
+
+
+def _mc_columns(design, reps):
+    """Every Monte Carlo column of the independent, dependent and epi samplers."""
+    _, indep = run_independent_experiment(design.independent, reps, 0.05, SEED)
+    _, dep = run_dependent_experiment(design.mixture, reps, 0.05, SEED)
+    return {
+        "independent": indep.max_abs_dev,
+        "dependent": dep.max_abs_dev,
+        "lambda_draw": dep.lambda_draw,
+        **epi_max_deviations(reference_scenario(), reps, SEED),
+    }
 
 
 @pytest.fixture(scope="module")
@@ -145,17 +162,7 @@ class TestIndependentExperiment:
     def test_replication_prefix_is_stable(self, design):
         # replication i depends only on stream i, so a longer run extends a
         # shorter one instead of changing it
-        def columns(reps):
-            _, indep = run_independent_experiment(design.independent, reps, 0.05, SEED)
-            _, dep = run_dependent_experiment(design.mixture, reps, 0.05, SEED)
-            return {
-                "independent": indep.max_abs_dev,
-                "dependent": dep.max_abs_dev,
-                "lambda_draw": dep.lambda_draw,
-                **epi_max_deviations(reference_scenario(), reps, SEED),
-            }
-
-        short, long = columns(100), columns(300)
+        short, long = _mc_columns(design, 100), _mc_columns(design, 300)
         assert len(short) == 5
         for name, column in short.items():
             assert np.array_equal(column, long[name][:100]), name
@@ -168,6 +175,155 @@ class TestIndependentExperiment:
         ):
             with pytest.raises(DomainError, match="replications must be >= 1"):
                 run()
+
+
+SHARD_REPS = 1001  # splits unevenly across 2 and 3 workers
+
+
+def _stream_index(gen) -> int:
+    return int(gen.bit_generator.state["state"]["key"][1])
+
+
+def _uniform(gen) -> float:
+    return gen.random()
+
+
+class TestShardedReplicate:
+    """``replicate`` fills later shards in forked children; rows never change."""
+
+    @pytest.fixture(autouse=True)
+    def no_child_left(self):
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """Calls of ``os.fork`` made in this process."""
+        calls = []
+        real_fork = os.fork
+
+        def fork():
+            calls.append(os.getpid())
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", fork)
+        return calls
+
+    @staticmethod
+    def _workers(monkeypatch, workers):
+        monkeypatch.setattr(simulation, "_usable_cpus", lambda: workers)
+        monkeypatch.setattr(simulation, "_MIN_SHARD", 100)
+
+    @pytest.fixture(scope="class")
+    def serial(self, design):
+        with pytest.MonkeyPatch.context() as mp:
+            self._workers(mp, 1)
+            return _mc_columns(design, SHARD_REPS)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_samplers_equal_serial(self, design, serial, forks, monkeypatch, workers):
+        self._workers(monkeypatch, workers)
+        sharded = _mc_columns(design, SHARD_REPS)
+        # independent, dependent, and the one epi draw behind both orderings
+        assert len(forks) == 3 * (workers - 1)
+        assert sharded.keys() == serial.keys()
+        for name, column in serial.items():
+            assert np.array_equal(sharded[name], column), name
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_raw_rows_equal_serial(self, design, forks, monkeypatch, workers):
+        draw = _nb2_replication_sampler([q.to_nb2() for q in design.independent])
+        self._workers(monkeypatch, 1)
+        expected = replicate(draw, SHARD_REPS, SEED)
+        self._workers(monkeypatch, workers)
+        assert np.array_equal(replicate(draw, SHARD_REPS, SEED), expected)
+        assert len(forks) == workers - 1
+
+    def test_default_shard_floor(self, forks, monkeypatch):
+        monkeypatch.setattr(simulation, "_usable_cpus", lambda: 8)
+        replicate(_uniform, 2 * simulation._MIN_SHARD - 1, SEED)
+        assert forks == []
+        replicate(_uniform, 3 * simulation._MIN_SHARD, SEED)
+        assert len(forks) == 2
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_error_in_child_shard_reaches_caller(self, forks, monkeypatch, workers):
+        def one(gen):
+            index = _stream_index(gen)
+            if index >= 600:
+                raise DomainError("invalid-parameter", f"stream {index}")
+            return gen.random()
+
+        self._workers(monkeypatch, workers)
+        # the first failing stream, as in a serial run
+        with pytest.raises(DomainError, match="stream 600$"):
+            replicate(one, SHARD_REPS, SEED)
+        assert len(forks) == workers - 1
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_child_that_dies_is_redrawn(self, forks, monkeypatch, workers):
+        parent = os.getpid()
+
+        def one(gen):
+            if os.getpid() != parent:
+                os._exit(3)
+            return gen.standard_normal(2)
+
+        self._workers(monkeypatch, 1)
+        expected = replicate(one, SHARD_REPS, SEED)
+        self._workers(monkeypatch, workers)
+        assert np.array_equal(replicate(one, SHARD_REPS, SEED), expected)
+        assert len(forks) == workers - 1
+
+    def test_error_in_parent_shard_reaps_children(self, forks, monkeypatch):
+        parent = os.getpid()
+
+        def one(gen):
+            if os.getpid() == parent and _stream_index(gen) == 5:
+                raise DomainError("invalid-parameter", "parent")
+            return _uniform(gen)
+
+        self._workers(monkeypatch, 3)
+        with pytest.raises(DomainError, match="parent"):
+            replicate(one, SHARD_REPS, SEED)
+        assert len(forks) == 2
+
+    @pytest.fixture(scope="class")
+    def uniform_serial(self):
+        with pytest.MonkeyPatch.context() as mp:
+            self._workers(mp, 1)
+            return replicate(_uniform, SHARD_REPS, SEED)
+
+    def test_failed_fork_is_drawn_here(self, uniform_serial, monkeypatch):
+        def fork():
+            raise OSError("no more processes")
+
+        monkeypatch.setattr(os, "fork", fork)
+        self._workers(monkeypatch, 3)
+        assert np.array_equal(replicate(_uniform, SHARD_REPS, SEED), uniform_serial)
+
+    def test_serial_without_fork(self, uniform_serial, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        self._workers(monkeypatch, 3)
+        assert np.array_equal(replicate(_uniform, SHARD_REPS, SEED), uniform_serial)
+
+    def test_serial_with_a_live_thread(self, uniform_serial, monkeypatch):
+        def fork():
+            raise AssertionError("forked a process that has threads")
+
+        monkeypatch.setattr(os, "fork", fork)
+        self._workers(monkeypatch, 3)
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait, args=(60,))
+        thread.start()
+        try:
+            got = replicate(_uniform, SHARD_REPS, SEED)
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert np.array_equal(got, uniform_serial)
 
 
 def _scalar_max_abs_prefix_deviation(counts, means) -> float:
