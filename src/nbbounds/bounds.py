@@ -26,8 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
+from ._lazy import np
 from .distributions import GammaMixture, NBParams, NB2Params
 from .errors import DomainError
 

@@ -22,8 +22,7 @@ import json
 import os
 import sys
 
-import numpy as np
-
+from ._lazy import np
 from ._version import __version__
 from .bounds import (
     BoundResult,

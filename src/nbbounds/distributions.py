@@ -28,8 +28,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
+from ._lazy import np
 from .errors import DomainError
 from .rng import RngHandle, as_generator
 

@@ -14,8 +14,7 @@ import math
 import os
 from dataclasses import dataclass, field
 
-import numpy as np
-
+from ._lazy import np
 from ._version import __version__
 from .bounds import (
     control_limit,

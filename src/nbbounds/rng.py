@@ -22,8 +22,7 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-import numpy as np
-
+from ._lazy import np
 from .errors import DomainError
 
 __all__ = ["RngHandle", "streams"]

@@ -31,8 +31,7 @@ import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
+from ._lazy import np
 from .bounds import control_limit, dependent_kolmogorov_bound, invert_bound, tweedie_variance
 from .distributions import GammaMixture, NBParams, NB2Params, sample_mixture_counts
 from .distributions import _nb2_replication_sampler

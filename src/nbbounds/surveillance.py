@@ -22,8 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
+from ._lazy import np
 from .bounds import control_limit
 from .distributions import NB2Params, sample_nb2
 from .errors import DomainError
@@ -236,7 +235,7 @@ def run_epi_validation(
     replications: int,
     alpha_level: float,
     seed: int,
-    mode: str = "region-prefix",
+    mode: str = "time-prefix",
 ) -> SimulationSummary:
     """Monte Carlo check of the cumulative control limit.
 
@@ -248,7 +247,9 @@ def run_epi_validation(
     either across region prefixes at the horizon (``region-prefix``) or
     across weekly prefixes of the all-region total (``time-prefix``); both
     orderings of the same deviation field are exposed because the scenario
-    leaves the index order of the maximum open.
+    leaves the index order of the maximum open. The default is
+    ``time-prefix``, the ordering of a weekly monitor and of the report,
+    whose p95 matches the reference one.
     """
     if mode not in EPI_MAX_MODES:
         raise DomainError("invalid-parameter", f"mode must be one of {EPI_MAX_MODES}, got {mode!r}")

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -6,11 +7,21 @@ import sys
 import pytest
 
 from nbbounds import (
+    GammaMixture,
     NBParams,
+    bernstein_dependent_bound,
+    build_moment_matched_design,
     chernoff_mean_deviation_bound,
     control_limit,
+    epi_control_limits,
+    load_counts,
+    load_scenario,
+    monitor_step,
+    start_monitoring,
+    write_history,
 )
 from nbbounds import simulation
+from nbbounds.cli import main
 from nbbounds.reproduce import build_report, write_report
 
 SCENARIO = {
@@ -373,7 +384,41 @@ class TestReproduceCommand:
 
 
 class TestRuntimeImports:
-    """scipy is a test-only dependency; nothing on the CLI path may load it."""
+    """scipy is a test-only dependency; nothing on the CLI path may load it.
+
+    numpy loads on first use: importing the package, the closed-form
+    commands (``bound chernoff|kolmogorov-indep``, ``limit``) and their
+    out-of-domain exits never run numpy's own ``__init__``, and print what
+    the same call prints in a process that has numpy loaded. The numeric
+    commands load it and still print what the library computes.
+    """
+
+    CLOSED_FORM = [
+        ["bound", "chernoff", "--params", "3:0.3,5:0.5,8:0.7", "--a", "2"],
+        ["bound", "kolmogorov-indep", "--params", "3:0.3,5:0.5", "--lambda", "5"],
+        ["limit", "--params", "210:0.35,340:0.25", "--alpha", "0.05,0.01"],
+        ["limit", "--scenario", "SCENARIO"],
+    ]
+    OUT_OF_DOMAIN = [
+        ["bound", "kolmogorov-indep", "--params", "3:0.3,5:0.5", "--lambda", "-5"],
+        ["bound", "chernoff", "--params", "3:1.5", "--a", "1"],
+        ["limit", "--params", "210:0.35,340:0.25", "--alpha", "1.5"],
+    ]
+
+    @staticmethod
+    def _importtime(*args):
+        """Run the interpreter on ``args`` with ``-X importtime``, which logs
+        every module imported to stderr; return the process and those modules."""
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", *args], capture_output=True, text=True
+        )
+        modules = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                   if line.startswith("import time:")]
+        return proc, modules
+
+    @staticmethod
+    def _numpy(modules):
+        return [m for m in modules if m == "numpy" or m.startswith("numpy.")]
 
     @staticmethod
     def _scipy(modules):
@@ -391,15 +436,108 @@ class TestRuntimeImports:
         assert self._scipy(modules) == []
 
     def test_bound_command_loads_no_scipy(self):
-        # -X importtime logs every module the interpreter imports to stderr
+        proc, modules = self._importtime(
+            "-m", "nbbounds", "bound", "kolmogorov-indep", "--params", "3:0.3", "--lambda", "5"
+        )
+        assert proc.returncode == 0
+        assert "nbbounds.cli" in modules
+        assert self._scipy(modules) == []
+
+    def test_import_loads_no_numpy(self):
+        proc, modules = self._importtime("-c", "import nbbounds")
+        assert proc.returncode == 0, proc.stderr
+        assert "nbbounds.bounds" in modules
+        assert self._numpy(modules) == []
+
+    @pytest.mark.parametrize("argv", CLOSED_FORM, ids=" ".join)
+    def test_closed_form_command_loads_no_numpy(self, argv, scenario_file, capsys):
+        argv = [scenario_file if arg == "SCENARIO" else arg for arg in argv]
+        proc, modules = self._importtime("-m", "nbbounds", *argv)
+        assert proc.returncode == 0, proc.stderr
+        assert "nbbounds.cli" in modules
+        assert self._numpy(modules) == []
+        assert main(argv) == 0
+        assert proc.stdout == capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", OUT_OF_DOMAIN, ids=" ".join)
+    def test_out_of_domain_exit_loads_no_numpy(self, argv, capsys):
+        proc, modules = self._importtime("-m", "nbbounds", *argv)
+        assert_error_exit_1(proc)
+        assert self._numpy(modules) == []
+        assert main(argv) == 1
+        errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+        assert errors == capsys.readouterr().err.splitlines()
+
+    def test_bernstein_design_matches_library(self):
+        proc = run_cli(
+            "bound", "bernstein",
+            "--shape", "4", "--rate", "4", "--thetas", "@design", "--lambda", "300",
+        )
+        assert proc.returncode == 0, proc.stderr
+        record = json.loads(proc.stdout)
+        thetas = [q.mean() for q in build_moment_matched_design().independent]
+        expected = bernstein_dependent_bound(GammaMixture(4.0, 4.0, thetas), 300.0)
+        assert record["bound_value"] == expected.bound_value
+        assert record["raw_value"] == expected.raw_value
+        cond, mix = expected.components
+        assert record["components"] == {"cond_term": cond, "mix_term": mix}
+
+    def test_monitor_matches_library(self, scenario_file, tmp_path):
+        counts = tmp_path / "counts.csv"
+        counts.write_text(
+            "region_1,region_2,region_3,region_4,region_5\n"
+            "250,300,310,500,390\n190,360,280,470,400\n230,330,300,510,370\n"
+        )
+        proc = run_cli("monitor", "--scenario", scenario_file, "--counts", str(counts))
+        assert proc.returncode == 0, proc.stderr
+        scenario, alphas = load_scenario(scenario_file)
+        (_, limit), = epi_control_limits(scenario, alphas[:1])
+        state = start_monitoring(limit, scenario.weeks)
+        for row in load_counts(str(counts), scenario):
+            state = monitor_step(state, row, [r.weekly_mu for r in scenario.regions])
+        history = io.StringIO()
+        write_history(state, history)
+        assert proc.stdout == history.getvalue()
+
+    def test_reproduce_table2_matches_library(self, tmp_path):
+        proc = run_cli(
+            "reproduce", "table2", "--seed", "42", "--reps", "2", "--out", str(tmp_path / "cli"),
+        )
+        assert proc.returncode == 0, proc.stderr
+        report = build_report("table2", seed=42, table2_replications=2, epi_replications=2)
+        write_report(report, str(tmp_path / "lib"))
+        names = sorted(path.name for path in (tmp_path / "lib").iterdir())
+        assert sorted(path.name for path in (tmp_path / "cli").iterdir()) == names
+        for name in names:
+            assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "lib" / name).read_bytes()
+
+    def test_numpy_imported_first_is_reused(self):
         proc = subprocess.run(
-            [sys.executable, "-X", "importtime", "-m", "nbbounds",
-             "bound", "kolmogorov-indep", "--params", "3:0.3", "--lambda", "5"],
+            [sys.executable, "-c",
+             "import sys, types, numpy, nbbounds\n"
+             "from nbbounds import _lazy\n"
+             "assert sys.modules['numpy'] is numpy and _lazy.np is numpy\n"
+             "assert type(numpy) is types.ModuleType\n"],
             capture_output=True,
             text=True,
         )
-        assert proc.returncode == 0
-        modules = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
-                   if line.startswith("import time:")]
-        assert "nbbounds.cli" in modules
-        assert self._scipy(modules) == []
+        assert proc.returncode == 0, proc.stderr
+
+    def test_first_use_binds_the_real_numpy(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, types\n"
+             "from nbbounds import bounds, cli, distributions, reproduce, rng, simulation, "
+             "surveillance\n"
+             "assert distributions.np.zeros(3).sum() == 0.0\n"
+             "numpy = sys.modules['numpy']\n"
+             "assert type(numpy) is types.ModuleType and hasattr(numpy, 'ndarray')\n"
+             "import numpy as again\n"
+             "assert again is numpy\n"
+             "for module in (bounds, cli, distributions, reproduce, rng, simulation, "
+             "surveillance):\n"
+             "    assert module.np is numpy, module.__name__\n"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr

@@ -214,6 +214,11 @@ class TestEpiValidation:
         with pytest.raises(DomainError):
             run_epi_validation(scenario, 10, 0.05, SEED, mode="zigzag")
 
+    def test_default_mode_is_time_prefix(self, scenario):
+        default = run_epi_validation(scenario, 200, 0.05, SEED)
+        assert default == run_epi_validation(scenario, 200, 0.05, SEED, mode="time-prefix")
+        assert default != run_epi_validation(scenario, 200, 0.05, SEED, mode="region-prefix")
+
 
 class TestFileFormats:
     def test_scenario_round_trip(self, tmp_path):
