@@ -35,11 +35,9 @@ from .distributions import (
 from .errors import DomainError
 from .rng import RngHandle
 from .simulation import (
-    AmplificationResult,
     DeviationSamples,
     MomentMatchedDesign,
     SimulationSummary,
-    amplification_check,
     build_moment_matched_design,
     design_from_mixture,
     efficiency_curve,
@@ -95,14 +93,12 @@ __all__ = [
     "DeviationSamples",
     "SimulationSummary",
     "MomentMatchedDesign",
-    "AmplificationResult",
     "build_moment_matched_design",
     "design_from_mixture",
     "run_independent_experiment",
     "run_nb2_experiment",
     "run_dependent_experiment",
     "lambda_correlation",
-    "amplification_check",
     "efficiency_curve",
     "summarize_deviations",
     "replicate",

@@ -12,9 +12,13 @@ Four inequalities are implemented:
 * a sub-exponential Bernstein refinement of the mixture bound whose two
   terms decay exponentially.
 
-All probabilities are computed in the log domain and exponentiated last;
-reported values are clamped to [0, 1] with the raw (unclamped) value kept
-alongside. A small exact-tail oracle based on truncated PMF convolution is
+The Chernoff bound and the Bernstein exponents are formed in the log domain
+and exponentiated last; the Kolmogorov bounds are plain ratios of variance
+to ``lambda**2``. Reported values are clamped to [0, 1] with the raw
+(unclamped) value kept alongside; a bound whose arithmetic leaves the float
+range raises ``float-range`` instead of returning inf. Float sums add left
+to right (:func:`_plain_sum`), so no output depends on the Python version.
+A small exact-tail oracle based on truncated PMF convolution is
 included for validating the bounds on small instances; its NB marginals are
 computed with numpy alone (log-domain recurrence, provable truncation), so
 the package needs no scipy at run time.
@@ -84,7 +88,28 @@ class BoundResult:
     optimizer: OptimizerDiagnostics | None = None
 
 
+def _plain_sum(values):
+    """``sum(values)`` added left to right from 0.
+
+    The builtin ``sum`` compensates its rounding on floats from Python 3.12
+    on, which moves the last bit of some totals; this is the sum it computed
+    before.
+    """
+    total = 0
+    for value in values:
+        total += value
+    return total
+
+
+def _float_range_error(lam) -> DomainError:
+    return DomainError(
+        "float-range", f"the bound at lambda = {lam} is outside the floating-point range"
+    )
+
+
 def _clamped(threshold, raw, components=None, optimizer=None) -> BoundResult:
+    if not raw < math.inf:  # also rejects NaN
+        raise _float_range_error(threshold)
     return BoundResult(
         threshold=float(threshold),
         bound_value=min(1.0, float(raw)),
@@ -142,7 +167,7 @@ def chernoff_mean_deviation_bound(params: Sequence[NBParams], a: float) -> Bound
     _require_positive("a", a)
 
     n = len(params)
-    total_mean = sum(q.mean() for q in params)
+    total_mean = _plain_sum(q.mean() for q in params)
     p_min = min(q.p for q in params)
     t_max = -math.log1p(-p_min)
     eps = 1e-10
@@ -159,9 +184,10 @@ def chernoff_mean_deviation_bound(params: Sequence[NBParams], a: float) -> Bound
             )
 
     def log_objective(t: float) -> float:
-        return -t * n * a - t * total_mean + sum(
-            r * (log_p - math.log(-math.expm1(t + log_q))) for r, log_p, log_q in terms
-        )
+        log_mgfs = 0.0
+        for r, log_p, log_q in terms:
+            log_mgfs += r * (log_p - math.log(-math.expm1(t + log_q)))
+        return -t * n * a - t * total_mean + log_mgfs
 
     t_star, log_min, iterations, converged = _golden_section_minimize(
         log_objective, lo, hi, tol=1e-10 * t_max
@@ -179,7 +205,12 @@ def tweedie_variance(params: Sequence[NB2Params]) -> float:
     params = list(params)
     if not params:
         raise DomainError("invalid-parameter", "params must be a nonempty sequence")
-    return float(sum(q.variance() for q in params))
+    try:
+        return float(_plain_sum(q.variance() for q in params))
+    except OverflowError:
+        raise DomainError(
+            "float-range", "the total variance is outside the floating-point range"
+        ) from None
 
 
 def control_limit(v_n: float, alpha_level: float) -> float:
@@ -191,7 +222,13 @@ def control_limit(v_n: float, alpha_level: float) -> float:
     _require_positive("v_n", v_n)
     if not (0.0 < alpha_level < 1.0):
         raise DomainError("invalid-parameter", f"alpha_level must lie in (0, 1), got {alpha_level}")
-    return math.sqrt(v_n / alpha_level)
+    limit = math.sqrt(v_n / alpha_level)
+    if not limit < math.inf:
+        raise DomainError(
+            "float-range",
+            f"the control limit sqrt({v_n} / {alpha_level}) is outside the floating-point range",
+        )
+    return limit
 
 
 def kolmogorov_independent_bound(params: Sequence[NBParams], lam: float) -> BoundResult:
@@ -203,7 +240,10 @@ def kolmogorov_independent_bound(params: Sequence[NBParams], lam: float) -> Boun
     if not params:
         raise DomainError("invalid-parameter", "params must be a nonempty sequence")
     _require_positive("lambda", lam)
-    raw = sum(q.variance() for q in params) / lam**2
+    try:
+        raw = _plain_sum(q.variance() for q in params) / lam**2
+    except (ZeroDivisionError, OverflowError):
+        raise _float_range_error(lam) from None
     return _clamped(lam, raw)
 
 
@@ -219,8 +259,11 @@ def dependent_kolmogorov_bound(model: GammaMixture, lam: float) -> BoundResult:
     alpha, beta = model.gamma_shape, model.gamma_rate
     theta_n = model.total_theta()
     m = model.max_prefix()
-    cond_term = 4.0 * (alpha / beta) * theta_n / lam**2
-    mix_term = 4.0 * m**2 * alpha / (beta**2 * lam**2)
+    try:
+        cond_term = 4.0 * (alpha / beta) * theta_n / lam**2
+        mix_term = 4.0 * m**2 * alpha / (beta**2 * lam**2)
+    except (ZeroDivisionError, OverflowError):
+        raise _float_range_error(lam) from None
     return _clamped(lam, cond_term + mix_term, components=(cond_term, mix_term))
 
 
@@ -237,8 +280,11 @@ def bernstein_dependent_bound(model: GammaMixture, lam: float) -> BoundResult:
     theta_n = model.total_theta()
     m = model.max_prefix()
 
-    cond_exponent = (lam**2 / 16.0) / (alpha * theta_n / beta + lam / 6.0)
-    mix_exponent = min(lam**2 * beta**2 / (32.0 * m**2 * alpha), lam * beta / (4.0 * m))
+    try:
+        cond_exponent = (lam**2 / 16.0) / (alpha * theta_n / beta + lam / 6.0)
+        mix_exponent = min(lam**2 * beta**2 / (32.0 * m**2 * alpha), lam * beta / (4.0 * m))
+    except (ZeroDivisionError, OverflowError):
+        raise _float_range_error(lam) from None
     # both exponents are >= 0, so each term lies in [0, 2]; exp underflows
     # to 0.0 harmlessly for huge exponents
     cond_term = 2.0 * math.exp(-cond_exponent)
@@ -405,6 +451,6 @@ def exact_mean_deviation_tail(params: Sequence[NBParams], a: float) -> OracleTai
     total = pmfs[0]
     for pmf in pmfs[1:]:
         total = np.convolve(total, pmf)
-    threshold = sum(q.mean() for q in params) + len(params) * a
+    threshold = _plain_sum(q.mean() for q in params) + len(params) * a
     value = total[np.arange(len(total)) >= threshold].sum()
     return OracleTail(value=float(value), truncation_error=float(max(1.0 - total.sum(), 0.0)))

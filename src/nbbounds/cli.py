@@ -118,9 +118,12 @@ def _parse_thetas(text: str) -> list[float]:
 
 def _parse_alphas(text: str) -> list[float]:
     try:
-        return [float(chunk) for chunk in text.split(",") if chunk.strip()]
+        alphas = [float(chunk) for chunk in text.split(",") if chunk.strip()]
     except ValueError:
         raise DomainError("invalid-parameter", f"cannot parse alpha list {text!r}") from None
+    if not alphas:
+        raise DomainError("invalid-parameter", f"alpha list {text!r} is empty")
+    return alphas
 
 
 def _bound_as_record(result: BoundResult) -> dict:

@@ -186,14 +186,6 @@ class GammaMixture:
         ti, tj = self.thetas[i], self.thetas[j]
         return math.sqrt(ti * tj) / math.sqrt((self.gamma_rate + ti) * (self.gamma_rate + tj))
 
-    def subexp_nu_sq(self) -> float:
-        """Sub-exponential variance parameter of the centered latent rate."""
-        return self.gamma_shape / self.gamma_rate**2
-
-    def subexp_b(self) -> float:
-        """Sub-exponential scale parameter of the centered latent rate."""
-        return 1.0 / self.gamma_rate
-
 
 def nb_log_mgf(params: NBParams, t: float) -> float:
     """Log moment-generating function of NB(r, p) at ``t``.

@@ -15,16 +15,17 @@ run are the same ``k`` rows. The rows are then reduced as one array.
 
 Because a row depends on nothing but its stream, :func:`replicate` splits
 the replications into contiguous shards and fills the later shards in
-forked worker processes, one per usable CPU; the result does not depend on
-the split. Every sampler it runs must therefore be a pure function of its
-generator: a side effect inside it happens in whichever process drew the
-row.
+forked worker processes, one per usable CPU, which write their rows
+straight into the one result array in shared memory; the result does not
+depend on the split. Every sampler it runs must therefore be a pure
+function of its generator: a side effect inside it happens in whichever
+process drew the row.
 """
 
 from __future__ import annotations
 
-import io
 import math
+import mmap
 import os
 import signal
 import threading
@@ -33,6 +34,7 @@ from typing import Callable, Sequence
 
 from ._lazy import np
 from .bounds import control_limit, dependent_kolmogorov_bound, invert_bound, tweedie_variance
+from .bounds import _plain_sum
 from .distributions import GammaMixture, NBParams, NB2Params, sample_mixture_counts
 from .distributions import _nb2_replication_sampler
 from .errors import DomainError
@@ -48,8 +50,6 @@ __all__ = [
     "run_nb2_experiment",
     "run_dependent_experiment",
     "lambda_correlation",
-    "amplification_check",
-    "AmplificationResult",
     "efficiency_curve",
     "summarize_deviations",
     "replicate",
@@ -119,14 +119,14 @@ class MomentMatchedDesign:
     mixture: GammaMixture
 
     def independent_total_mean(self) -> float:
-        return float(sum(q.mean() for q in self.independent))
+        return float(_plain_sum(q.mean() for q in self.independent))
 
     def independent_total_variance(self) -> float:
-        return float(sum(q.variance() for q in self.independent))
+        return float(_plain_sum(q.variance() for q in self.independent))
 
     def mixture_total_variance(self) -> float:
         return float(
-            sum(self.mixture.marginal_variance(i) for i in range(self.mixture.n))
+            _plain_sum(self.mixture.marginal_variance(i) for i in range(self.mixture.n))
         )
 
     def aggregate_variance_gap(self) -> float:
@@ -186,8 +186,8 @@ def design_from_mixture(mixture: GammaMixture) -> MomentMatchedDesign:
     return MomentMatchedDesign(independent=independent, mixture=mixture)
 
 
-# Fewest replications worth a forked worker: a fork, pipe and reap cost
-# about 4 ms, one replication 12-60 us.
+# Fewest replications worth a forked worker: a fork and reap cost about
+# 1.3 ms on a 2-vCPU host, one replication 14-58 us.
 _MIN_SHARD = 250
 
 
@@ -199,54 +199,42 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _shared_rows(shape: tuple[int, ...]) -> np.ndarray:
+    """Float array of ``shape`` in anonymous shared memory.
+
+    The mapping is ``MAP_SHARED``, so a forked child writes into the pages
+    this process reads. ``mmap`` refuses length 0, hence the one-byte floor
+    for rows of no values.
+    """
+    count = math.prod(shape)
+    return np.frombuffer(mmap.mmap(-1, max(8 * count, 1)), dtype=float, count=count).reshape(shape)
+
+
 def _fill(one, seed: int, rows: np.ndarray, start: int) -> None:
     """``rows[i] = one(stream start + i)`` for every row of ``rows``."""
     for i, gen in enumerate(streams(seed, range(start, start + len(rows)))):
         rows[i] = one(gen)
 
 
-def _fork_shard(one, seed: int, rows: np.ndarray, start: int) -> tuple[int, io.FileIO] | None:
-    """Fork a child that fills ``rows`` and writes their bytes down a pipe.
+def _fork_shard(one, seed: int, rows: np.ndarray, start: int) -> int | None:
+    """Fork a child that fills ``rows``, a view of a shared array, in place.
 
-    Returns the child's pid and the pipe's read end, or None when no child
-    could be started. The child never returns into the caller: it ends in
-    ``os._exit``, with status 0 only once every byte is written.
+    Returns the child's pid, or None when no child could be started. The
+    child never returns into the caller: it ends in ``os._exit``, with
+    status 0 only after its last row.
     """
-    try:
-        read_fd, write_fd = os.pipe()
-    except OSError:
-        return None
     try:
         pid = os.fork()
     except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
         return None
     if pid == 0:
         status = 1
         try:
-            os.close(read_fd)
             _fill(one, seed, rows, start)
-            with open(write_fd, "wb") as pipe:
-                pipe.write(memoryview(rows).cast("B"))
             status = 0
         finally:
             os._exit(status)
-    # closed before the next fork, so that no later child holds it open and
-    # the read of this pipe ends when this child does
-    os.close(write_fd)
-    return pid, open(read_fd, "rb", buffering=0)
-
-
-def _collect_shard(pid: int, pipe: io.FileIO, rows: np.ndarray) -> bool:
-    """Read a child's bytes into ``rows`` and reap it; True if it delivered them all."""
-    view = memoryview(rows).cast("B")
-    got = 0
-    with pipe:
-        while got < len(view) and (n := pipe.readinto(view[got:])):
-            got += n
-    _, status = os.waitpid(pid, 0)
-    return got == len(view) and os.waitstatus_to_exitcode(status) == 0
+    return pid
 
 
 def replicate(
@@ -263,41 +251,43 @@ def replicate(
     generator past its call. Callers reduce the stacked rows as whole
     arrays afterwards.
 
-    The replications are split into contiguous shards, one per usable CPU
-    and each at least ``_MIN_SHARD`` long; forked children fill the later
-    shards while this process fills the first. ``one`` must therefore be a
-    pure function of its generator, since it may run in another process.
-    The rows are the same for any split. A shard whose child cannot be
-    started or does not deliver is drawn again here, so an exception from
-    ``one`` reaches the caller as in a serial run. Runs serially when there
-    is one worker, no ``os.fork``, or more than one live thread.
+    The result lives in anonymous shared memory and is split into
+    contiguous shards, one per usable CPU and each at least ``_MIN_SHARD``
+    long; forked children write the later shards straight into it while
+    this process fills the first. ``one`` must therefore be a pure function
+    of its generator, since it may run in another process. The rows are
+    the same for any split. A child's exit status is its only message: a
+    shard whose child cannot be started or does not exit with 0 is drawn
+    again here, over any rows it left, so an exception from ``one`` reaches
+    the caller as in a serial run. Runs serially when there is one worker,
+    no ``os.fork``, or more than one live thread.
     """
     if replications < 1:
         raise DomainError("invalid-parameter", "replications must be >= 1")
     row = one(next(streams(seed, [0])))
-    rows = np.empty((replications, *np.shape(row)))
+    rows = _shared_rows((replications, *np.shape(row)))
     rows[0] = row
     workers = min(_usable_cpus(), replications // _MIN_SHARD)
     if workers <= 1 or not hasattr(os, "fork") or threading.active_count() > 1:
         _fill(one, seed, rows[1:], 1)
         return rows
     edges = [replications * k // workers for k in range(workers + 1)]
-    children = []  # (start, stop, pid and pipe, or None when not forked)
+    children = []  # (start, stop, pid or None when not forked)
     try:
         for start, stop in zip(edges[1:-1], edges[2:]):
             children.append((start, stop, _fork_shard(one, seed, rows[start:stop], start)))
         _fill(one, seed, rows[1 : edges[1]], 1)
         while children:
-            start, stop, child = children[0]
-            delivered = child is not None and _collect_shard(*child, rows[start:stop])
+            start, stop, pid = children[0]
+            delivered = (
+                pid is not None and os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+            )
             del children[0]
             if not delivered:
                 _fill(one, seed, rows[start:stop], start)
     finally:
-        for _, _, child in children:
-            if child is not None:
-                pid, pipe = child
-                pipe.close()
+        for _, _, pid in children:
+            if pid is not None:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
     return rows
@@ -384,39 +374,6 @@ def lambda_correlation(samples: DeviationSamples) -> float:
     if lams.std() == 0.0 or devs.std() == 0.0:
         raise DomainError("zero-variance", "correlation undefined for a constant sequence")
     return float(np.corrcoef(lams, devs)[0, 1])
-
-
-@dataclass(frozen=True)
-class AmplificationResult:
-    indep_mean: float
-    dep_mean: float
-    amplified: bool
-
-    @property
-    def ratio(self) -> float:
-        return self.dep_mean / self.indep_mean
-
-
-def amplification_check(
-    design: MomentMatchedDesign,
-    replications: int,
-    seed: int,
-) -> AmplificationResult:
-    """Compare mean maximal deviations across the matched pair of models.
-
-    A shared mixing draw inflates every component at once, so under
-    matched marginal moments the dependent mean deviation exceeds the
-    independent one; ``amplified`` records whether that held empirically.
-    """
-    if replications < 100:
-        raise DomainError("invalid-parameter", "amplification check needs >= 100 replications")
-    indep_summary, _ = run_independent_experiment(design.independent, replications, 0.05, seed)
-    dep_summary, _ = run_dependent_experiment(design.mixture, replications, 0.05, seed)
-    return AmplificationResult(
-        indep_mean=indep_summary.mean,
-        dep_mean=dep_summary.mean,
-        amplified=dep_summary.mean > indep_summary.mean,
-    )
 
 
 def efficiency_curve(

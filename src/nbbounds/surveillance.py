@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from ._lazy import np
-from .bounds import control_limit
+from .bounds import _plain_sum, control_limit
 from .distributions import NB2Params, sample_nb2
 from .errors import DomainError
 from .simulation import (
@@ -106,11 +106,11 @@ class EpiScenario:
         return self.weeks * (r.weekly_mu + r.kappa * r.weekly_mu**2)
 
     def total_expected(self) -> float:
-        return self.weeks * sum(r.weekly_mu for r in self.regions)
+        return self.weeks * _plain_sum(r.weekly_mu for r in self.regions)
 
     def tweedie_variance(self) -> float:
         """Cumulative-horizon total variance V."""
-        return sum(self.cumulative_variance(j) for j in range(len(self.regions)))
+        return _plain_sum(self.cumulative_variance(j) for j in range(len(self.regions)))
 
 
 def reference_scenario() -> EpiScenario:

@@ -372,6 +372,37 @@ class TestClamping:
                 assert 0.0 <= value <= 1.0
 
 
+class TestFloatRange:
+    """A bound whose arithmetic leaves the float range raises, never returns inf."""
+
+    @pytest.mark.parametrize(
+        "evaluate",
+        [
+            lambda: kolmogorov_independent_bound([NBParams(3, 0.3)], 1e-200),
+            lambda: kolmogorov_independent_bound([NBParams(3, 0.3)], 1e-160),
+            lambda: kolmogorov_independent_bound([NBParams(3, 0.3)], 1e300),
+            lambda: kolmogorov_independent_bound([NBParams(3, 1e-300)], 10.0),
+            lambda: dependent_kolmogorov_bound(GammaMixture(4, 4, [7, 5]), 1e-200),
+            lambda: bernstein_dependent_bound(GammaMixture(4, 4, [1e-200]), 1.0),
+            lambda: bernstein_dependent_bound(GammaMixture(1e-300, 1e300, [7]), 10.0),
+            lambda: tweedie_variance([NB2Params(1e300, 0.35)]),
+            lambda: control_limit(15645.0, 1e-320),
+        ],
+    )
+    def test_raises_float_range(self, evaluate):
+        with pytest.raises(DomainError) as info:
+            evaluate()
+        assert info.value.code == "float-range"
+
+    def test_plain_sum_adds_left_to_right(self):
+        values = [1e16, 1.0, -1e16, 1.0]
+        # ((1e16 + 1) - 1e16) + 1 rounds the first 1 away; compensated
+        # summation would give 2.0
+        assert bounds_module._plain_sum(values) == 1.0
+        assert bounds_module._plain_sum([210, 340]) == 550
+        assert isinstance(bounds_module._plain_sum([210, 340]), int)
+
+
 class TestTruncatedPmf:
     """The numpy marginals against scipy.stats.nbinom as the oracle."""
 

@@ -131,6 +131,24 @@ class TestBoundCommand:
         assert proc.returncode == 1
         assert "positive" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["kolmogorov-dep", "--thetas", "7,5", "--lambda", "1e-200"],
+            ["bernstein", "--thetas", "1e-200", "--lambda", "1"],
+            ["kolmogorov-dep", "--thetas", "1e308,1e308", "--lambda", "10"],
+        ],
+        ids=" ".join,
+    )
+    def test_mixture_bound_out_of_float_range_exit_1(self, argv, capsys):
+        argv = ["bound", argv[0], "--shape", "4", "--rate", "4", *argv[1:]]
+        proc = run_cli(*argv)
+        assert_error_exit_1(proc, "float-range")
+        assert main(argv) == 1
+        errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+        assert errors == [line for line in capsys.readouterr().err.splitlines()
+                          if line.startswith("error:")]
+
 
 class TestLimitCommand:
     def test_scenario_limits(self, scenario_file):
@@ -403,6 +421,10 @@ class TestRuntimeImports:
         ["bound", "kolmogorov-indep", "--params", "3:0.3,5:0.5", "--lambda", "-5"],
         ["bound", "chernoff", "--params", "3:1.5", "--a", "1"],
         ["limit", "--params", "210:0.35,340:0.25", "--alpha", "1.5"],
+        ["bound", "kolmogorov-indep", "--params", "3:0.3", "--lambda", "1e-200"],
+        ["limit", "--params", "210:0.35", "--alpha", ","],
+        ["limit", "--params", "210:0.35", "--alpha", "1e-320"],
+        ["limit", "--params", "1e300:0.35", "--alpha", "0.05"],
     ]
 
     @staticmethod

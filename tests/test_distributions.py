@@ -161,11 +161,6 @@ class TestGammaMixture:
         assert 0 < m.correlation(0, 1) < 1
         assert m.correlation(1, 1) == 1.0
 
-    def test_subexponential_parameters(self):
-        m = GammaMixture(3.0, 1.5, [1.0])
-        assert m.subexp_nu_sq() == pytest.approx(3.0 / 1.5**2)
-        assert m.subexp_b() == pytest.approx(1.0 / 1.5)
-
     def test_rejects_nonpositive_theta(self):
         with pytest.raises(DomainError):
             GammaMixture(4, 4, [7, 0.0])

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +35,35 @@ GOLDEN_FILE_SHA256 = {
     "fig8.csv": "11c0aae9f165724c70402ee6b9fa693f191835c2e77217ca090b80c7d8f2f852",
     "report.json": "61f4caaada79b9c5e62c7118961e43c0ac976d647e7b756ef2a34e6946563d4f",
 }
+
+
+def _assert_golden_outputs(out_dir):
+    paths = sorted(write_report(build_report("all", seed=SEED), str(out_dir)))
+    tree = hashlib.sha256()
+    per_file = {}
+    for path in map(Path, paths):
+        data = path.read_bytes()
+        tree.update(data)
+        per_file[path.name] = hashlib.sha256(data).hexdigest()
+    assert sorted(per_file) == sorted(GOLDEN_FILE_SHA256)
+    for name, digest in per_file.items():
+        assert digest == GOLDEN_FILE_SHA256[name], (
+            f"{name} differs from the seed-{SEED} golden output (numpy {np.__version__})"
+        )
+    assert tree.hexdigest() == GOLDEN_TREE_SHA256, f"tree digest differs (numpy {np.__version__})"
+
+
+def _neumaier_sum(values, start=0):
+    """The builtin ``sum`` of Python 3.12 and later: Neumaier-compensated on floats."""
+    total, compensation = start, 0.0
+    for value in values:
+        step = total + value
+        if abs(total) >= abs(value):
+            compensation += (total - step) + value
+        else:
+            compensation += (value - step) + total
+        total = step
+    return total + compensation if compensation and math.isfinite(compensation) else total
 
 
 @pytest.fixture(scope="module")
@@ -153,19 +183,15 @@ class TestReportWriting:
             build_report("everything")
 
     def test_default_seed_outputs_match_golden_sha256(self, tmp_path):
-        paths = sorted(write_report(build_report("all", seed=SEED), str(tmp_path)))
-        tree = hashlib.sha256()
-        per_file = {}
-        for path in map(Path, paths):
-            data = path.read_bytes()
-            tree.update(data)
-            per_file[path.name] = hashlib.sha256(data).hexdigest()
-        assert sorted(per_file) == sorted(GOLDEN_FILE_SHA256)
-        for name, digest in per_file.items():
-            assert digest == GOLDEN_FILE_SHA256[name], (
-                f"{name} differs from the seed-{SEED} golden output (numpy {np.__version__})"
-            )
-        assert tree.hexdigest() == GOLDEN_TREE_SHA256, f"tree digest differs (numpy {np.__version__})"
+        _assert_golden_outputs(tmp_path)
+
+    def test_golden_sha256_under_compensated_sum(self, tmp_path, monkeypatch):
+        """The builtin ``sum`` compensates float rounding from Python 3.12 on;
+        no output may depend on which ``sum`` the interpreter has."""
+        for name, module in list(sys.modules.items()):
+            if name == "nbbounds" or name.startswith("nbbounds."):
+                monkeypatch.setattr(module, "sum", _neumaier_sum, raising=False)
+        _assert_golden_outputs(tmp_path)
 
     def test_nan_serialized_as_null(self, tmp_path):
         report = ReproductionReport(environment={"seed": 1, "x": math.nan})

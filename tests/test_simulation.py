@@ -11,7 +11,6 @@ from nbbounds import (
     NB2Params,
     NBParams,
     RngHandle,
-    amplification_check,
     build_moment_matched_design,
     control_limit,
     design_from_mixture,
@@ -231,13 +230,21 @@ class TestShardedReplicate:
         for name, column in serial.items():
             assert np.array_equal(sharded[name], column), name
 
-    @pytest.mark.parametrize("workers", [2, 3])
-    def test_raw_rows_equal_serial(self, design, forks, monkeypatch, workers):
-        draw = _nb2_replication_sampler([q.to_nb2() for q in design.independent])
+    @pytest.mark.parametrize(
+        "row, workers", [("nb2", 2), ("nb2", 3), ("empty", 1), ("empty", 3)]
+    )
+    def test_raw_rows_equal_serial(self, design, forks, monkeypatch, row, workers):
+        if row == "nb2":
+            draw = _nb2_replication_sampler([q.to_nb2() for q in design.independent])
+        else:
+            def draw(gen):
+                return np.empty(0)
         self._workers(monkeypatch, 1)
         expected = replicate(draw, SHARD_REPS, SEED)
         self._workers(monkeypatch, workers)
-        assert np.array_equal(replicate(draw, SHARD_REPS, SEED), expected)
+        got = replicate(draw, SHARD_REPS, SEED)
+        assert np.array_equal(got, expected)
+        assert got.shape == (SHARD_REPS, 20 if row == "nb2" else 0)
         assert len(forks) == workers - 1
 
     def test_default_shard_floor(self, forks, monkeypatch):
@@ -261,13 +268,19 @@ class TestShardedReplicate:
             replicate(one, SHARD_REPS, SEED)
         assert len(forks) == workers - 1
 
+    @pytest.mark.parametrize("dies", ["at-first-row", "after-half-its-rows"])
     @pytest.mark.parametrize("workers", [2, 3])
-    def test_child_that_dies_is_redrawn(self, forks, monkeypatch, workers):
+    def test_child_that_dies_is_redrawn(self, forks, monkeypatch, workers, dies):
         parent = os.getpid()
+        edges = [SHARD_REPS * k // workers for k in range(workers + 1)]
+        # dying after half its rows, a child leaves NaN rows up to its shard's midpoint
+        midpoints = {(start + stop) // 2 for start, stop in zip(edges[1:-1], edges[2:])}
 
         def one(gen):
             if os.getpid() != parent:
-                os._exit(3)
+                if dies == "at-first-row" or _stream_index(gen) in midpoints:
+                    os._exit(3)
+                return np.full(2, np.nan)
             return gen.standard_normal(2)
 
         self._workers(monkeypatch, 1)
@@ -430,24 +443,29 @@ class TestLambdaCorrelation:
 
 
 class TestAmplification:
-    def test_reference_ratio(self, design):
-        result = amplification_check(design, REPS, SEED)
-        assert result.amplified
-        assert result.ratio == pytest.approx(2.38, abs=0.15)
+    """A shared mixing draw inflates every component at once, so under
+    matched marginal moments the dependent mean deviation exceeds the
+    independent one."""
+
+    @staticmethod
+    def _mean_ratio(design, reps):
+        indep, _ = run_independent_experiment(design.independent, reps, 0.05, SEED)
+        dep, _ = run_dependent_experiment(design.mixture, reps, 0.05, SEED)
+        return dep.mean / indep.mean
+
+    def test_reference_ratio(self, independent_run, dependent_run):
+        ratio = dependent_run[0].mean / independent_run[0].mean
+        assert ratio > 1.0
+        assert ratio == pytest.approx(2.38, abs=0.15)
 
     def test_equal_theta_toy(self):
         toy = design_from_mixture(GammaMixture(1, 1, [1.0, 1.0]))
-        result = amplification_check(toy, 10**5, SEED)
-        assert result.amplified
+        assert self._mean_ratio(toy, 10**5) > 1.0
 
     def test_degenerate_mixing_ratio_near_one(self):
         mixture = GammaMixture(1e6, 1e6, [7.0, 5.0, 24.0 / 7.0] * 4)
-        result = amplification_check(design_from_mixture(mixture), REPS, SEED)
-        assert result.ratio == pytest.approx(1.0, abs=0.05)
-
-    def test_rejects_tiny_replication_count(self, design):
-        with pytest.raises(DomainError):
-            amplification_check(design, 99, SEED)
+        ratio = self._mean_ratio(design_from_mixture(mixture), REPS)
+        assert ratio == pytest.approx(1.0, abs=0.05)
 
 
 class TestEfficiencyCurve:
