@@ -230,22 +230,28 @@ class TestShardedReplicate:
         for name, column in serial.items():
             assert np.array_equal(sharded[name], column), name
 
-    @pytest.mark.parametrize(
-        "row, workers", [("nb2", 2), ("nb2", 3), ("empty", 1), ("empty", 3)]
-    )
-    def test_raw_rows_equal_serial(self, design, forks, monkeypatch, row, workers):
-        if row == "nb2":
-            draw = _nb2_replication_sampler([q.to_nb2() for q in design.independent])
-        else:
-            def draw(gen):
-                return np.empty(0)
+    def _assert_sharded_equals_serial(self, monkeypatch, forks, one, workers):
         self._workers(monkeypatch, 1)
-        expected = replicate(draw, SHARD_REPS, SEED)
+        expected = replicate(one, SHARD_REPS, SEED)
         self._workers(monkeypatch, workers)
-        got = replicate(draw, SHARD_REPS, SEED)
+        got = replicate(one, SHARD_REPS, SEED)
         assert np.array_equal(got, expected)
-        assert got.shape == (SHARD_REPS, 20 if row == "nb2" else 0)
         assert len(forks) == workers - 1
+        return got
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_raw_rows_equal_serial(self, design, forks, monkeypatch, workers):
+        draw = _nb2_replication_sampler([q.to_nb2() for q in design.independent])
+        got = self._assert_sharded_equals_serial(monkeypatch, forks, draw, workers)
+        assert got.shape == (SHARD_REPS, 20)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_empty_rows_equal_serial(self, forks, monkeypatch, workers):
+        def one(gen):
+            return np.empty(0)
+
+        got = self._assert_sharded_equals_serial(monkeypatch, forks, one, workers)
+        assert got.shape == (SHARD_REPS, 0)
 
     def test_default_shard_floor(self, forks, monkeypatch):
         monkeypatch.setattr(simulation, "_usable_cpus", lambda: 8)
@@ -268,9 +274,19 @@ class TestShardedReplicate:
             replicate(one, SHARD_REPS, SEED)
         assert len(forks) == workers - 1
 
-    @pytest.mark.parametrize("dies", ["at-first-row", "after-half-its-rows"])
     @pytest.mark.parametrize("workers", [2, 3])
-    def test_child_that_dies_is_redrawn(self, forks, monkeypatch, workers, dies):
+    def test_child_that_dies_is_redrawn(self, forks, monkeypatch, workers):
+        parent = os.getpid()
+
+        def one(gen):
+            if os.getpid() != parent:
+                os._exit(3)
+            return gen.standard_normal(2)
+
+        self._assert_sharded_equals_serial(monkeypatch, forks, one, workers)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_child_that_dies_midway_is_redrawn(self, forks, monkeypatch, workers):
         parent = os.getpid()
         edges = [SHARD_REPS * k // workers for k in range(workers + 1)]
         # dying after half its rows, a child leaves NaN rows up to its shard's midpoint
@@ -278,16 +294,12 @@ class TestShardedReplicate:
 
         def one(gen):
             if os.getpid() != parent:
-                if dies == "at-first-row" or _stream_index(gen) in midpoints:
+                if _stream_index(gen) in midpoints:
                     os._exit(3)
                 return np.full(2, np.nan)
             return gen.standard_normal(2)
 
-        self._workers(monkeypatch, 1)
-        expected = replicate(one, SHARD_REPS, SEED)
-        self._workers(monkeypatch, workers)
-        assert np.array_equal(replicate(one, SHARD_REPS, SEED), expected)
-        assert len(forks) == workers - 1
+        self._assert_sharded_equals_serial(monkeypatch, forks, one, workers)
 
     def test_error_in_parent_shard_reaps_children(self, forks, monkeypatch):
         parent = os.getpid()
