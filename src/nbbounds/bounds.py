@@ -18,10 +18,11 @@ to ``lambda**2``. Reported values are clamped to [0, 1] with the raw
 (unclamped) value kept alongside; a bound whose arithmetic leaves the float
 range raises ``float-range`` instead of returning inf. Float sums add left
 to right (:func:`_plain_sum`), so no output depends on the Python version.
-A small exact-tail oracle based on truncated PMF convolution is
-included for validating the bounds on small instances; its NB marginals are
-computed with numpy alone (log-domain recurrence, provable truncation), so
-the package needs no scipy at run time.
+Two exact-tail oracles validate the bounds on small instances. Both run
+one absorbing-barrier walk that convolves truncated PMFs one variable at a
+time, under one work budget; the mean tail runs it with no barrier. The NB
+marginals are computed with numpy alone (log-domain recurrence, provable
+truncation), so the package needs no scipy at run time.
 """
 
 from __future__ import annotations
@@ -390,25 +391,38 @@ def _truncated_pmf(q: NBParams) -> np.ndarray:
     return pmf[: k_max + 1].copy()
 
 
-def _truncated_pmfs(params: list[NBParams]) -> list[np.ndarray]:
-    """Truncated marginals, stopping as soon as the convolutions are over budget.
+def _exact_walk(params: list[NBParams], lam: float) -> tuple[np.ndarray, float, float]:
+    """Absorbing-barrier walk over the integer partial sums ``S_1, S_2, ...``.
 
-    The budget counts what convolving the marginals in order computes: the
-    sum over variables of ``len(partial sum pmf) * len(marginal pmf)``, plus
-    the length of the final partial-sum pmf.
+    Each variable's truncated marginal is convolved into the surviving mass,
+    indexed by the integer partial sum; any entry whose centered sum has
+    reached ``lam`` in absolute value moves to the exceeded mass, so with
+    ``lam = inf`` the surviving pmf is the truncated law of the full sum.
+    The budget counts what the walk computes: the sum over variables of
+    ``len(partial sum pmf) * len(marginal pmf)``, plus the length of the
+    final partial-sum pmf; it is checked before each convolution. Returns
+    ``(surviving, exceeded, total_mean)``.
     """
-    pmfs = []
-    span = 1  # length of the partial-sum pmf so far
+    surviving = np.array([1.0])  # mass by integer partial sum, not yet exceeded
+    exceeded = 0.0
+    total_mean = 0.0
     work = 0
     for q in params:
-        pmfs.append(_truncated_pmf(q))
-        work += span * len(pmfs[-1])
-        span += len(pmfs[-1]) - 1
+        pmf = _truncated_pmf(q)
+        work += len(surviving) * len(pmf)
+        span = len(surviving) + len(pmf) - 1  # length of the partial-sum pmf after it
         if work + span > _ORACLE_MAX_STATES:
             raise _oracle_infeasible(
                 f"convolving the truncated marginals takes at least {work + span} steps"
             )
-    return pmfs
+        total_mean += q.mean()
+        surviving = np.convolve(surviving, pmf)
+        # |k - centre| is largest at an end of 0..len-1, so no entry hits unless an end does
+        if max(total_mean, len(surviving) - 1 - total_mean) >= lam:
+            hit = np.abs(np.arange(len(surviving)) - total_mean) >= lam
+            exceeded += surviving[hit].sum()
+            surviving = np.where(hit, 0.0, surviving)
+    return surviving, exceeded, total_mean
 
 
 def exact_max_deviation_tail_oracle(params: Sequence[NBParams], lam: float) -> OracleTail:
@@ -424,18 +438,7 @@ def exact_max_deviation_tail_oracle(params: Sequence[NBParams], lam: float) -> O
     if not params:
         raise DomainError("invalid-parameter", "params must be a nonempty sequence")
     _require_positive("lambda", lam)
-    pmfs = _truncated_pmfs(params)
-
-    surviving = np.array([1.0])  # mass by integer partial sum, not yet exceeded
-    exceeded = 0.0
-    cumulative_mean = 0.0
-    for q, pmf in zip(params, pmfs):
-        cumulative_mean += q.mean()
-        surviving = np.convolve(surviving, pmf)
-        deviations = np.abs(np.arange(len(surviving)) - cumulative_mean)
-        hit = deviations >= lam
-        exceeded += surviving[hit].sum()
-        surviving = np.where(hit, 0.0, surviving)
+    surviving, exceeded, _ = _exact_walk(params, lam)
     truncation_error = 1.0 - (exceeded + surviving.sum())
     return OracleTail(value=float(exceeded), truncation_error=float(max(truncation_error, 0.0)))
 
@@ -446,11 +449,7 @@ def exact_mean_deviation_tail(params: Sequence[NBParams], a: float) -> OracleTai
     if not params:
         raise DomainError("invalid-parameter", "params must be a nonempty sequence")
     _require_positive("a", a)
-    pmfs = _truncated_pmfs(params)
-
-    total = pmfs[0]
-    for pmf in pmfs[1:]:
-        total = np.convolve(total, pmf)
-    threshold = _plain_sum(q.mean() for q in params) + len(params) * a
+    total, _, total_mean = _exact_walk(params, math.inf)
+    threshold = total_mean + len(params) * a
     value = total[np.arange(len(total)) >= threshold].sum()
     return OracleTail(value=float(value), truncation_error=float(max(1.0 - total.sum(), 0.0)))

@@ -240,7 +240,7 @@ def _cmd_reproduce(args) -> int:
 
 def _cmd_monitor(args) -> int:
     scenario, file_alphas = load_scenario(args.scenario)
-    alpha = args.alpha if args.alpha is not None else (file_alphas[0] if file_alphas else 0.05)
+    alpha = args.alpha if args.alpha is not None else file_alphas[0]
     counts = load_counts(args.counts, scenario)
     if counts.shape[0] > scenario.weeks:
         raise DomainError(

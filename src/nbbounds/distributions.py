@@ -122,7 +122,8 @@ class GammaMixture:
     ``Lambda ~ Gamma(gamma_shape, rate=gamma_rate)`` and, given ``Lambda``,
     component ``i`` is ``Poisson(Lambda * thetas[i])`` independently. Each
     marginal is ``NB(gamma_shape, gamma_rate/(gamma_rate + theta_i))``.
-    All loadings must be strictly positive.
+    All loadings must be strictly positive, and their total a finite float
+    (else ``float-range``).
 
     The loading totals the mixture bounds read, ``total_theta()`` and
     ``max_prefix()``, are computed once, at construction. They are plain
@@ -147,8 +148,14 @@ class GammaMixture:
         object.__setattr__(self, "gamma_shape", float(gamma_shape))
         object.__setattr__(self, "gamma_rate", float(gamma_rate))
         object.__setattr__(self, "thetas", thetas)
-        object.__setattr__(self, "_total_theta", float(np.sum(thetas)))
-        object.__setattr__(self, "_max_prefix", float(np.cumsum(thetas).max()))
+        with np.errstate(over="ignore"):
+            total_theta, max_prefix = float(np.sum(thetas)), float(np.cumsum(thetas).max())
+        if not (math.isfinite(total_theta) and math.isfinite(max_prefix)):
+            raise DomainError(
+                "float-range", "the total of the loadings is outside the floating-point range"
+            )
+        object.__setattr__(self, "_total_theta", total_theta)
+        object.__setattr__(self, "_max_prefix", max_prefix)
 
     @property
     def n(self) -> int:

@@ -271,9 +271,9 @@ def load_scenario(source: str | io.TextIOBase) -> tuple[EpiScenario, list[float]
          "alpha_levels": [0.05, 0.01]}
 
     ``id`` is optional and defaults to region_1, region_2, ... Numeric
-    fields must parse as numbers, ``weeks`` must be a whole number and each
-    alpha level must lie in (0, 1); a bad field raises a ``DomainError``
-    naming it.
+    fields must parse as numbers, ``weeks`` must be a whole number and
+    ``alpha_levels``, if given, must be a nonempty list of levels in (0, 1);
+    a bad field raises a ``DomainError`` naming it.
     """
     try:
         if isinstance(source, str):
@@ -307,6 +307,8 @@ def load_scenario(source: str | io.TextIOBase) -> tuple[EpiScenario, list[float]
         raise DomainError(
             "invalid-parameter", f"scenario field weeks must be a whole number, got {weeks}"
         )
+    if not alphas:
+        raise DomainError("invalid-parameter", "scenario field alpha_levels must not be empty")
     for i, a in enumerate(alphas):
         if not 0.0 < a < 1.0:  # also false for NaN
             raise DomainError(

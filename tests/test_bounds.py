@@ -344,6 +344,16 @@ class TestExactTailOracle:
         with pytest.raises(DomainError, match="oracle-infeasible"):
             exact_max_deviation_tail_oracle(params, 72.5)
 
+    def test_one_variable_oracles_agree_above_the_mean(self):
+        # lam > E[X] puts X - E[X] <= -lam out of reach, so the two-sided
+        # max tail of one variable is the one-sided mean tail at a = lam
+        rng = np.random.default_rng(26)
+        for _ in range(50):
+            q = NBParams(float(rng.uniform(0.3, 12.0)), float(rng.uniform(0.15, 0.9)))
+            lam = q.mean() * float(rng.uniform(1.01, 3.0))
+            two_sided = exact_max_deviation_tail_oracle([q], lam).value
+            assert two_sided == pytest.approx(exact_mean_deviation_tail([q], lam).value, abs=1e-15)
+
     def test_mean_tail_hand_value(self):
         # P(X >= 3) for NB(2, 0.5): 1 - 0.25 - 0.25 - 0.1875
         oracle = exact_mean_deviation_tail([NBParams(2, 0.5)], 1.0)
@@ -385,6 +395,7 @@ class TestFloatRange:
             lambda: dependent_kolmogorov_bound(GammaMixture(4, 4, [7, 5]), 1e-200),
             lambda: bernstein_dependent_bound(GammaMixture(4, 4, [1e-200]), 1.0),
             lambda: bernstein_dependent_bound(GammaMixture(1e-300, 1e300, [7]), 10.0),
+            lambda: GammaMixture(4, 4, [1e308, 1e308]),
             lambda: tweedie_variance([NB2Params(1e300, 0.35)]),
             lambda: control_limit(15645.0, 1e-320),
         ],

@@ -1,11 +1,15 @@
+import ast
 import io
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import nbbounds
 from nbbounds import (
     GammaMixture,
     NBParams,
@@ -137,6 +141,7 @@ class TestBoundCommand:
             ["kolmogorov-dep", "--thetas", "7,5", "--lambda", "1e-200"],
             ["bernstein", "--thetas", "1e-200", "--lambda", "1"],
             ["kolmogorov-dep", "--thetas", "1e308,1e308", "--lambda", "10"],
+            ["bernstein", "--thetas", "1e308,1e308", "--lambda", "10"],
         ],
         ids=" ".join,
     )
@@ -144,6 +149,7 @@ class TestBoundCommand:
         argv = ["bound", argv[0], "--shape", "4", "--rate", "4", *argv[1:]]
         proc = run_cli(*argv)
         assert_error_exit_1(proc, "float-range")
+        assert "RuntimeWarning" not in proc.stderr
         assert main(argv) == 1
         errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
         assert errors == [line for line in capsys.readouterr().err.splitlines()
@@ -193,6 +199,17 @@ class TestLimitCommand:
         path.write_text(json.dumps({**SCENARIO, "alpha_levels": [0.05, float("inf")]}))
         proc = run_cli("limit", "--scenario", str(path))
         assert_error_exit_1(proc, "alpha_levels[1]", "inf")
+
+    @pytest.mark.parametrize("command", ["limit", "monitor"])
+    def test_empty_alpha_levels_exit_1(self, command, tmp_path):
+        path = tmp_path / "alpha.json"
+        path.write_text(json.dumps({**SCENARIO, "alpha_levels": []}))
+        counts = tmp_path / "counts.csv"
+        counts.write_text("region_1,region_2,region_3,region_4,region_5\n1,2,3,4,5\n")
+        argv = ["--counts", str(counts)] if command == "monitor" else []
+        proc = run_cli(command, "--scenario", str(path), *argv)
+        assert_error_exit_1(proc, "invalid-parameter", "alpha_levels")
+        assert proc.stdout == ""
 
     def test_invalid_json_exit_1(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -563,3 +580,18 @@ class TestRuntimeImports:
             text=True,
         )
         assert proc.returncode == 0, proc.stderr
+
+
+class TestErrorCodes:
+    def test_every_raised_code_is_documented(self):
+        schema = Path(__file__).resolve().parents[1] / "docs" / "output_schema.md"
+        table_codes = re.compile(r"^\| `([a-z-]+)` \|", re.MULTILINE)
+        documented = set(table_codes.findall(schema.read_text(encoding="utf-8")))
+        raised = set()
+        for source in Path(nbbounds.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "DomainError":
+                    code = node.args[0]
+                    assert isinstance(code, ast.Constant), f"{source.name}:{node.lineno}"
+                    raised.add(code.value)
+        assert raised and raised <= documented

@@ -271,6 +271,12 @@ class TestFileFormats:
         with pytest.raises(DomainError, match=r"alpha_levels\[1\] must lie in \(0, 1\)"):
             load_scenario(io.StringIO(doc))
 
+    def test_empty_alpha_levels_rejected(self):
+        doc = '{"regions": [{"weekly_mu": 5, "kappa": 0.1}], "weeks": 2, "alpha_levels": []}'
+        with pytest.raises(DomainError, match="alpha_levels must not be empty") as info:
+            load_scenario(io.StringIO(doc))
+        assert info.value.code == "invalid-parameter"
+
     def test_fractional_weeks_rejected(self):
         doc = '{"regions": [{"weekly_mu": 5, "kappa": 0.1}], "weeks": 2.9}'
         with pytest.raises(DomainError, match="weeks"):
