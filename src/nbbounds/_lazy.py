@@ -2,9 +2,9 @@
 
 Every module of the package takes ``np`` from here (``from ._lazy import
 np``) instead of ``import numpy as np``, so that importing the package and
-running the closed-form commands (``bound chernoff``, ``bound
-kolmogorov-indep``, ``limit``), which compute in plain floats, never run
-numpy's own ``__init__``.
+running every command but ``reproduce`` (the four bounds, ``limit``,
+``monitor``), which compute in plain floats, never run numpy's own
+``__init__``.
 
 If numpy is already in ``sys.modules``, that module is used as it is.
 Otherwise its spec is found, its loader is wrapped in

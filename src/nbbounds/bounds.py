@@ -15,9 +15,16 @@ Four inequalities are implemented:
 The Chernoff bound and the Bernstein exponents are formed in the log domain
 and exponentiated last; the Kolmogorov bounds are plain ratios of variance
 to ``lambda**2``. Reported values are clamped to [0, 1] with the raw
-(unclamped) value kept alongside; a bound whose arithmetic leaves the float
-range raises ``float-range`` instead of returning inf. Float sums add left
-to right (:func:`_plain_sum`), so no output depends on the Python version.
+(unclamped) value kept alongside. Where a square leaves the float range,
+that term is recomputed dividing by (or multiplying) each factor in turn,
+and only there, so every other input keeps its bits; a bound that is still
+not a finite float raises ``float-range`` instead of returning inf. No
+float total uses the builtin ``sum``, so no output depends on the Python
+version: totals of variances and means add left to right
+(:func:`_plain_sum`), and a ``GammaMixture`` takes its loading total with
+``distributions._pairwise_sum``, a plain-float mirror of numpy's pairwise
+``np.sum``, and its largest prefix left to right, once, when it is built,
+so the mixture bounds never load numpy.
 Two exact-tail oracles validate the bounds on small instances. Both run
 one absorbing-barrier walk that convolves truncated PMFs one variable at a
 time, under one work budget; the mean tail runs it with no barrier. The NB
@@ -242,9 +249,13 @@ def kolmogorov_independent_bound(params: Sequence[NBParams], lam: float) -> Boun
         raise DomainError("invalid-parameter", "params must be a nonempty sequence")
     _require_positive("lambda", lam)
     try:
-        raw = _plain_sum(q.variance() for q in params) / lam**2
-    except (ZeroDivisionError, OverflowError):
+        total = _plain_sum(q.variance() for q in params)
+    except ZeroDivisionError:  # some p**2 underflowed to 0
         raise _float_range_error(lam) from None
+    try:
+        raw = total / lam**2
+    except (ZeroDivisionError, OverflowError):  # lam**2 left the float range
+        raw = total / lam / lam
     return _clamped(lam, raw)
 
 
@@ -262,9 +273,13 @@ def dependent_kolmogorov_bound(model: GammaMixture, lam: float) -> BoundResult:
     m = model.max_prefix()
     try:
         cond_term = 4.0 * (alpha / beta) * theta_n / lam**2
+    except (ZeroDivisionError, OverflowError):  # lam**2 left the float range
+        cond_term = 4.0 * (alpha / beta) * theta_n / lam / lam
+    try:
         mix_term = 4.0 * m**2 * alpha / (beta**2 * lam**2)
-    except (ZeroDivisionError, OverflowError):
-        raise _float_range_error(lam) from None
+    except (ZeroDivisionError, OverflowError):  # a square left the float range
+        ratio = m / beta / lam
+        mix_term = 4.0 * ratio * ratio * alpha
     return _clamped(lam, cond_term + mix_term, components=(cond_term, mix_term))
 
 
@@ -281,13 +296,21 @@ def bernstein_dependent_bound(model: GammaMixture, lam: float) -> BoundResult:
     theta_n = model.total_theta()
     m = model.max_prefix()
 
+    spread = alpha * theta_n / beta + lam / 6.0
     try:
-        cond_exponent = (lam**2 / 16.0) / (alpha * theta_n / beta + lam / 6.0)
-        mix_exponent = min(lam**2 * beta**2 / (32.0 * m**2 * alpha), lam * beta / (4.0 * m))
-    except (ZeroDivisionError, OverflowError):
-        raise _float_range_error(lam) from None
+        cond_exponent = (lam**2 / 16.0) / spread
+    except ZeroDivisionError:  # spread underflowed, so lam < 3e-323 and the exponent < 3*lam/8
+        cond_exponent = 0.0
+    except OverflowError:  # lam**2 left the float range; spread >= lam / 6 > 0
+        cond_exponent = (lam / 16.0) * (lam / spread)
+    try:
+        quadratic = lam**2 * beta**2 / (32.0 * m**2 * alpha)
+    except (ZeroDivisionError, OverflowError):  # a square left the float range
+        scaled = lam * beta / m
+        quadratic = scaled * scaled / (32.0 * alpha)
+    mix_exponent = min(quadratic, lam * beta / (4.0 * m))
     # both exponents are >= 0, so each term lies in [0, 2]; exp underflows
-    # to 0.0 harmlessly for huge exponents
+    # to 0.0 harmlessly for huge exponents, and an overflowing one is inf
     cond_term = 2.0 * math.exp(-cond_exponent)
     mix_term = 2.0 * math.exp(-mix_exponent)
     return _clamped(lam, cond_term + mix_term, components=(cond_term, mix_term))

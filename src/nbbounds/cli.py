@@ -44,8 +44,8 @@ from .reproduce import (
 )
 from .simulation import build_moment_matched_design
 from .surveillance import (
+    _read_count_rows,
     epi_control_limits,
-    load_counts,
     load_scenario,
     monitor_step,
     start_monitoring,
@@ -241,11 +241,11 @@ def _cmd_reproduce(args) -> int:
 def _cmd_monitor(args) -> int:
     scenario, file_alphas = load_scenario(args.scenario)
     alpha = args.alpha if args.alpha is not None else file_alphas[0]
-    counts = load_counts(args.counts, scenario)
-    if counts.shape[0] > scenario.weeks:
+    counts = _read_count_rows(args.counts, scenario)
+    if len(counts) > scenario.weeks:
         raise DomainError(
             "horizon-exceeded",
-            f"counts file has {counts.shape[0]} weeks, scenario horizon is {scenario.weeks}",
+            f"counts file has {len(counts)} weeks, scenario horizon is {scenario.weeks}",
         )
     (_, limit), = epi_control_limits(scenario, [alpha])
     fitted_mu = [r.weekly_mu for r in scenario.regions]

@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Sequence
 
 from ._lazy import np
@@ -101,6 +103,33 @@ class NB2Params:
         return self.mu + self.kappa * self.mu**2
 
 
+def _pairwise_sum(values: Sequence[float]) -> float:
+    """``float(np.sum(np.asarray(values, dtype=float)))`` in plain floats.
+
+    Mirrors numpy's float64 add-reduce over a contiguous array, so the bits
+    match without loading numpy: fewer than 8 values add left to right
+    from ``-0.0``; up to 128 keep eight running sums of every eighth value,
+    combined as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, and add the rest
+    left to right; longer runs split at ``n//2`` rounded down to a multiple
+    of 8 and recurse on both halves. The reduction adds the result to
+    ``0.0``. Python float addition overflows to ``inf`` without a warning.
+    """
+    values = [float(v) for v in values]
+
+    def pairwise(lo: int, n: int) -> float:
+        if n < 8:
+            return reduce(add, values[lo:lo + n], -0.0)
+        if n <= 128:
+            end = lo + n - n % 8
+            r = [reduce(add, values[lo + j:end:8]) for j in range(8)]
+            total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+            return reduce(add, values[end:lo + n], total)
+        half = n // 2 - (n // 2) % 8
+        return pairwise(lo, half) + pairwise(lo + half, n - half)
+
+    return 0.0 + pairwise(0, len(values))
+
+
 def nb_from_mu_kappa(params: NB2Params) -> NBParams:
     """Invert NB2 to ``(r, p)``: ``r = 1/kappa``, ``p = 1/(1 + kappa*mu)``.
 
@@ -126,7 +155,11 @@ class GammaMixture:
     (else ``float-range``).
 
     The loading totals the mixture bounds read, ``total_theta()`` and
-    ``max_prefix()``, are computed once, at construction. They are plain
+    ``max_prefix()``, are computed once, at construction, in plain floats:
+    the total is :func:`_pairwise_sum`, bit for bit ``np.sum(thetas)``, and
+    the largest prefix is the left-to-right sum, which is what
+    ``np.cumsum(thetas).max()`` gives for positive loadings. So neither
+    construction nor the mixture bounds load numpy. The totals are plain
     attributes, not fields, so equality, hashing and ``repr`` see the three
     fields alone and ``dataclasses.replace`` recomputes them.
     """
@@ -148,8 +181,7 @@ class GammaMixture:
         object.__setattr__(self, "gamma_shape", float(gamma_shape))
         object.__setattr__(self, "gamma_rate", float(gamma_rate))
         object.__setattr__(self, "thetas", thetas)
-        with np.errstate(over="ignore"):
-            total_theta, max_prefix = float(np.sum(thetas)), float(np.cumsum(thetas).max())
+        total_theta, max_prefix = _pairwise_sum(thetas), reduce(add, thetas)
         if not (math.isfinite(total_theta) and math.isfinite(max_prefix)):
             raise DomainError(
                 "float-range", "the total of the loadings is outside the floating-point range"

@@ -36,7 +36,7 @@ from ._lazy import np
 from .bounds import control_limit, dependent_kolmogorov_bound, invert_bound, tweedie_variance
 from .bounds import _plain_sum
 from .distributions import GammaMixture, NBParams, NB2Params, sample_mixture_counts
-from .distributions import _nb2_replication_sampler
+from .distributions import _nb2_replication_sampler, _pairwise_sum
 from .errors import DomainError
 from .rng import streams
 
@@ -159,7 +159,8 @@ def build_moment_matched_design() -> MomentMatchedDesign:
     independent = tuple(
         NBParams(*_DESIGN_CYCLE[i % len(_DESIGN_CYCLE)]) for i in range(_DESIGN_N)
     )
-    mean_kappa = float(np.mean([1.0 / q.r for q in independent]))
+    kappas = [1.0 / q.r for q in independent]
+    mean_kappa = _pairwise_sum(kappas) / len(kappas)  # bit for bit np.mean(kappas)
     shape = float(_round_half_away_from_zero(1.0 / mean_kappa))
     mixture = GammaMixture(
         gamma_shape=shape,

@@ -24,7 +24,7 @@ from typing import Sequence
 
 from ._lazy import np
 from .bounds import _plain_sum, control_limit
-from .distributions import NB2Params, sample_nb2
+from .distributions import NB2Params, _pairwise_sum, sample_nb2
 from .errors import DomainError
 from .simulation import (
     SimulationSummary,
@@ -186,8 +186,9 @@ def monitor_step(
             "horizon-exceeded",
             f"monitoring horizon of {state.horizon} periods already reached",
         )
-    deviation = state.cumulative_deviation + float(
-        np.sum(np.asarray(weekly_counts, dtype=float) - np.asarray(fitted_mu, dtype=float))
+    # bit for bit np.sum(counts - fitted), without loading numpy
+    deviation = state.cumulative_deviation + _pairwise_sum(
+        [float(c) - float(m) for c, m in zip(weekly_counts, fitted_mu)]
     )
     period = state.period_index + 1
     alarm = abs(deviation) >= state.control_limit
@@ -333,10 +334,15 @@ def load_counts(source: str | io.TextIOBase, scenario: EpiScenario) -> np.ndarra
     Returns a (rows, regions) float array in scenario region order. Raises
     with the offending 1-based line number on malformed rows.
     """
+    return np.array(_read_count_rows(source, scenario))
+
+
+def _read_count_rows(source: str | io.TextIOBase, scenario: EpiScenario) -> list[list[float]]:
+    """:func:`load_counts` as a list of rows, so a caller need not load numpy."""
     if isinstance(source, str):
         try:
             with open(source, newline="", encoding="utf-8") as fh:
-                return load_counts(fh, scenario)
+                return _read_count_rows(fh, scenario)
         except OSError as exc:
             raise DomainError("invalid-parameter", f"cannot read counts file: {exc}") from exc
         except UnicodeDecodeError as exc:
@@ -376,7 +382,7 @@ def load_counts(source: str | io.TextIOBase, scenario: EpiScenario) -> np.ndarra
         rows.append(values)
     if not rows:
         raise DomainError("invalid-parameter", "counts file holds no data rows")
-    return np.array(rows)
+    return rows
 
 
 def write_history(state: MonitoringState, sink: io.TextIOBase) -> None:

@@ -390,20 +390,55 @@ class TestFloatRange:
         [
             lambda: kolmogorov_independent_bound([NBParams(3, 0.3)], 1e-200),
             lambda: kolmogorov_independent_bound([NBParams(3, 0.3)], 1e-160),
-            lambda: kolmogorov_independent_bound([NBParams(3, 0.3)], 1e300),
             lambda: kolmogorov_independent_bound([NBParams(3, 1e-300)], 10.0),
             lambda: dependent_kolmogorov_bound(GammaMixture(4, 4, [7, 5]), 1e-200),
-            lambda: bernstein_dependent_bound(GammaMixture(4, 4, [1e-200]), 1.0),
-            lambda: bernstein_dependent_bound(GammaMixture(1e-300, 1e300, [7]), 10.0),
             lambda: GammaMixture(4, 4, [1e308, 1e308]),
             lambda: tweedie_variance([NB2Params(1e300, 0.35)]),
             lambda: control_limit(15645.0, 1e-320),
+            # the rescaled forms leave the float range too: the squared
+            # ratio (about 1e320), both terms, the smallest positive lambda
+            lambda: dependent_kolmogorov_bound(GammaMixture(4, 4, [1e160]), 1.0),
+            lambda: dependent_kolmogorov_bound(GammaMixture(4, 1e-200, [7]), 1e-200),
+            lambda: kolmogorov_independent_bound([NBParams(3, 0.3)], 5e-324),
         ],
     )
     def test_raises_float_range(self, evaluate):
         with pytest.raises(DomainError) as info:
             evaluate()
         assert info.value.code == "float-range"
+
+    @pytest.mark.parametrize(
+        "evaluate, components",
+        [
+            # lam**2 overflows; the bound is about 1e-599
+            (lambda: kolmogorov_independent_bound([NBParams(3, 0.3)], 1e300), None),
+            (lambda: dependent_kolmogorov_bound(GammaMixture(4, 4, [7, 5]), 1e300), (0.0, 0.0)),
+            (lambda: bernstein_dependent_bound(GammaMixture(4, 4, [7, 5]), 1e300), (0.0, 0.0)),
+            # M**2 underflows to 0; the mixing exponent is lam*rate/(4M) = 1e200
+            (lambda: bernstein_dependent_bound(GammaMixture(4, 4, [1e-200]), 1.0),
+             (2.0 * math.exp(-0.375), 0.0)),
+            # rate**2 overflows; the conditional exponent is 6.25 / (10/6) = 3.75
+            (lambda: bernstein_dependent_bound(GammaMixture(1e-300, 1e300, [7]), 10.0),
+             (2.0 * math.exp(-3.75), 0.0)),
+            # the conditional spread underflows to 0; both exponents are below 1e-24
+            (lambda: bernstein_dependent_bound(GammaMixture(1e-300, 1e300, [7]), 5e-324),
+             (2.0, 2.0)),
+        ],
+    )
+    def test_finite_bound_past_an_out_of_range_square(self, evaluate, components):
+        result = evaluate()
+        raw = 0.0 if components is None else components[0] + components[1]
+        assert result.raw_value == raw
+        assert result.bound_value == min(1.0, raw)
+        assert result.components == components
+
+    def test_rescaled_mixing_term_keeps_its_value(self):
+        # M**2 and lam**2 overflow: 4*shape*(M/(rate*lam))**2 = 16 * (2.5e-51)**2
+        result = dependent_kolmogorov_bound(GammaMixture(4, 4, [1e200]), 1e250)
+        cond, mix = result.components
+        assert cond == pytest.approx(4e-300, rel=1e-15)
+        assert mix == pytest.approx(1e-100, rel=1e-15)
+        assert result.raw_value == cond + mix
 
     def test_plain_sum_adds_left_to_right(self):
         values = [1e16, 1.0, -1e16, 1.0]

@@ -1,6 +1,7 @@
 import ast
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -139,7 +140,6 @@ class TestBoundCommand:
         "argv",
         [
             ["kolmogorov-dep", "--thetas", "7,5", "--lambda", "1e-200"],
-            ["bernstein", "--thetas", "1e-200", "--lambda", "1"],
             ["kolmogorov-dep", "--thetas", "1e308,1e308", "--lambda", "10"],
             ["bernstein", "--thetas", "1e308,1e308", "--lambda", "10"],
         ],
@@ -154,6 +154,23 @@ class TestBoundCommand:
         errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
         assert errors == [line for line in capsys.readouterr().err.splitlines()
                           if line.startswith("error:")]
+
+
+    @pytest.mark.parametrize(
+        "argv, raw_value",
+        [
+            (["kolmogorov-indep", "--params", "3:0.3", "--lambda", "1e300"], 0.0),
+            (["bernstein", "--shape", "4", "--rate", "4", "--thetas", "1e-200", "--lambda", "1"],
+             2.0 * math.exp(-0.375)),
+        ],
+        ids=lambda value: " ".join(value) if isinstance(value, list) else repr(value),
+    )
+    def test_finite_bound_past_an_out_of_range_square_exit_0(self, argv, raw_value):
+        proc = run_cli("bound", *argv)
+        assert proc.returncode == 0, proc.stderr
+        record = json.loads(proc.stdout)
+        assert record["raw_value"] == raw_value
+        assert record["bound_value"] == min(1.0, raw_value)
 
 
 class TestLimitCommand:
@@ -421,18 +438,31 @@ class TestReproduceCommand:
 class TestRuntimeImports:
     """scipy is a test-only dependency; nothing on the CLI path may load it.
 
-    numpy loads on first use: importing the package, the closed-form
-    commands (``bound chernoff|kolmogorov-indep``, ``limit``) and their
+    numpy loads on first use: importing the package, every command but
+    ``reproduce`` (the four bounds, ``limit``, ``monitor``) and their
     out-of-domain exits never run numpy's own ``__init__``, and print what
-    the same call prints in a process that has numpy loaded. The numeric
-    commands load it and still print what the library computes.
+    the same call prints in a process that has numpy loaded. ``reproduce``
+    loads it and still writes what the library computes.
     """
 
-    CLOSED_FORM = [
-        ["bound", "chernoff", "--params", "3:0.3,5:0.5,8:0.7", "--a", "2"],
-        ["bound", "kolmogorov-indep", "--params", "3:0.3,5:0.5", "--lambda", "5"],
-        ["limit", "--params", "210:0.35,340:0.25", "--alpha", "0.05,0.01"],
-        ["limit", "--scenario", "SCENARIO"],
+    # (argv, exit code); SCENARIO, @THETAS, QUIET and OUTBREAK name files
+    # the test writes, and the outbreak series raises the alarm
+    EVERY_COMMAND_BUT_REPRODUCE = [
+        pytest.param(argv, code, id=" ".join(argv))
+        for argv, code in [
+            (["bound", "chernoff", "--params", "3:0.3,5:0.5,8:0.7", "--a", "2"], 0),
+            (["bound", "kolmogorov-indep", "--params", "3:0.3,5:0.5", "--lambda", "5"], 0),
+            (["limit", "--params", "210:0.35,340:0.25", "--alpha", "0.05,0.01"], 0),
+            (["limit", "--scenario", "SCENARIO"], 0),
+            (["bound", "kolmogorov-dep", "--shape", "4", "--rate", "4", "--thetas", "@design",
+              "--lambda", "300"], 0),
+            (["bound", "bernstein", "--shape", "3", "--rate", "1.5", "--thetas",
+              "7,5,0.5,2.25,1.125,9,3.5,6,4.75", "--lambda", "60"], 0),
+            (["bound", "bernstein", "--shape", "3", "--rate", "1.5", "--thetas", "@THETAS",
+              "--lambda", "60"], 0),
+            (["monitor", "--scenario", "SCENARIO", "--counts", "QUIET"], 0),
+            (["monitor", "--scenario", "SCENARIO", "--counts", "OUTBREAK"], 3),
+        ]
     ]
     OUT_OF_DOMAIN = [
         ["bound", "kolmogorov-indep", "--params", "3:0.3,5:0.5", "--lambda", "-5"],
@@ -488,14 +518,24 @@ class TestRuntimeImports:
         assert "nbbounds.bounds" in modules
         assert self._numpy(modules) == []
 
-    @pytest.mark.parametrize("argv", CLOSED_FORM, ids=" ".join)
-    def test_closed_form_command_loads_no_numpy(self, argv, scenario_file, capsys):
-        argv = [scenario_file if arg == "SCENARIO" else arg for arg in argv]
+    @pytest.mark.parametrize("argv, code", EVERY_COMMAND_BUT_REPRODUCE)
+    def test_every_command_but_reproduce_loads_no_numpy(
+        self, argv, code, scenario_file, tmp_path, capsys
+    ):
+        thetas = tmp_path / "thetas.txt"
+        thetas.write_text("7\n5\n0.5\n\n2.25\n1.125\n9\n3.5\n6\n4.75\n")
+        header = ",".join(f"region_{j + 1}" for j in range(5))
+        quiet, outbreak = tmp_path / "quiet.csv", tmp_path / "outbreak.csv"
+        quiet.write_text(f"{header}\n250,300,310,500,390\n190,360,280,470,400.5\n")
+        outbreak.write_text(f"{header}\n" + "420,680,580,960,760\n" * 5)
+        files = {"SCENARIO": scenario_file, "@THETAS": f"@{thetas}",
+                 "QUIET": str(quiet), "OUTBREAK": str(outbreak)}
+        argv = [files.get(arg, arg) for arg in argv]
         proc, modules = self._importtime("-m", "nbbounds", *argv)
-        assert proc.returncode == 0, proc.stderr
+        assert proc.returncode == code, proc.stderr
         assert "nbbounds.cli" in modules
         assert self._numpy(modules) == []
-        assert main(argv) == 0
+        assert main(argv) == code
         assert proc.stdout == capsys.readouterr().out
 
     @pytest.mark.parametrize("argv", OUT_OF_DOMAIN, ids=" ".join)

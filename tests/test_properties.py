@@ -4,6 +4,8 @@ and the input loaders."""
 import io
 import json
 import math
+import random
+import struct
 
 import numpy as np
 import pytest
@@ -184,20 +186,105 @@ def test_mixture_bounds_equal_per_call_reductions(model, lam):
 
 
 def test_mixture_bounds_do_no_numpy_reductions(monkeypatch):
-    model = GammaMixture(3.0, 1.5, [float(k) for k in range(1, 21)])
+    thetas = [float(k) for k in range(1, 21)]
     bounds = (dependent_kolmogorov_bound, bernstein_dependent_bound)
-    expected = [bound(model, lam) for bound in bounds for lam in (10.0, 400.0)]
+    per_call = _PerCallTotals(GammaMixture(3.0, 1.5, thetas))
+    expected = [bound(per_call, lam) for bound in bounds for lam in (10.0, 400.0)]
 
     def refuse(*args, **kwargs):
-        raise AssertionError("numpy reduction while evaluating a mixture bound")
+        raise AssertionError("numpy reduction while building or evaluating a mixture")
 
     monkeypatch.setattr(distributions.np, "sum", refuse)
     monkeypatch.setattr(distributions.np, "cumsum", refuse)
-    with pytest.raises(AssertionError):  # the patch bites: construction reduces
-        GammaMixture(3.0, 1.5, [1.0])
+    model = GammaMixture(3.0, 1.5, thetas)  # construction reduces in plain floats too
     assert [bound(model, lam) for bound in bounds for lam in (10.0, 400.0)] == expected
     for bound in bounds:
         invert_bound(lambda lam, bound=bound: bound(model, lam).bound_value, 0.05)
+
+
+# -- the plain-float mirror of np.sum ----------------------------------------
+
+
+def _same_float(a: float, b: float) -> bool:
+    """Equal bits, or both NaN (the sign and payload of a NaN are not compared)."""
+    return struct.pack("<d", a) == struct.pack("<d", b) or (math.isnan(a) and math.isnan(b))
+
+
+def _numpy_sum(values) -> float:
+    with np.errstate(all="ignore"):  # inf - inf and overflow are part of the contract
+        return float(np.sum(np.asarray(values, dtype=float)))
+
+
+# the edges of _pairwise_sum's branches: the 8-way unrolled block from 8 on,
+# the recursion above 128, and split points rounded to multiples of 8
+BRANCH_EDGES = [0, 1, 2, 7, 8, 9, 15, 16, 17, 127, 128, 129, 135, 136, 137,
+                255, 256, 257, 263, 264, 511, 512, 513, 1000]
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310,
+                  math.inf, -math.inf, math.nan, 1e308, -1e308, 1.0, -1.0, 1e16]
+
+
+def _moderate_list(rng: random.Random, n: int) -> list[float]:
+    """``n`` floats in [-1e3, 1e3]: no overflow or cancellation to zero, so
+    the rounding of every add shows."""
+    return [rng.uniform(-1e3, 1e3) for _ in range(n)]
+
+
+def _float_list(rng: random.Random, n: int, special_share: float) -> list[float]:
+    """``n`` floats over the whole range, a share of them from ``SPECIAL_FLOATS``."""
+    return [
+        rng.choice(SPECIAL_FLOATS) if rng.random() < special_share
+        else rng.choice((-1.0, 1.0)) * rng.random() * 10.0 ** rng.uniform(-320.0, 308.0)
+        for _ in range(n)
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.one_of(st.sampled_from(BRANCH_EDGES), st.integers(0, 1000)),
+    seed=st.integers(0, 2**32 - 1),
+    special_share=st.sampled_from([0.0, 0.01, 0.2, 1.0]),
+    moderate=st.booleans(),
+)
+def test_pairwise_sum_equals_numpy_sum(n, seed, special_share, moderate):
+    rng = random.Random(seed)
+    values = _moderate_list(rng, n) if moderate else _float_list(rng, n, special_share)
+    assert _same_float(distributions._pairwise_sum(values), _numpy_sum(values))
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [],
+        [-0.0],
+        [-0.0] * 9,
+        [-0.0] * 200,
+        [5e-324] * 300,
+        [1e308, 1e308],
+        [1e308] * 130,
+        [math.inf, -math.inf],
+        [math.nan],
+        [0.1 * k for k in range(1, 9)],  # 3.6 in eight running sums, not left to right
+        [1e16, 1.0, -1e16, 1.0] * 40,
+        _float_list(random.Random(8193), 8193, 0.0),
+        _moderate_list(random.Random(12_345), 12_345),
+    ],
+    ids=lambda values: f"{len(values)} values",
+)
+def test_pairwise_sum_equals_numpy_sum_at_fixed_inputs(values):
+    assert _same_float(distributions._pairwise_sum(values), _numpy_sum(values))
+
+
+@PROPERTY_SETTINGS
+@given(
+    n_regions=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_monitor_step_equals_numpy_sum_of_deviations(n_regions, seed):
+    rng = random.Random(seed)
+    counts = [float(rng.randint(0, 2000)) for _ in range(n_regions)]
+    fitted = [rng.uniform(0.0, 1000.0) for _ in range(n_regions)]
+    step = monitor_step(start_monitoring(1e9, 1), counts, fitted).cumulative_deviation
+    assert step == float(np.sum(np.asarray(counts) - np.asarray(fitted)))
 
 
 def _chernoff_over_nb_log_mgf(params, a) -> BoundResult:
