@@ -15,13 +15,17 @@ Four inequalities are implemented:
 The Chernoff bound and the Bernstein exponents are formed in the log domain
 and exponentiated last; the Kolmogorov bounds are plain ratios of variance
 to ``lambda**2``. Reported values are clamped to [0, 1] with the raw
-(unclamped) value kept alongside. Where a square leaves the float range,
-that term is recomputed dividing by (or multiplying) each factor in turn,
-and only there, so every other input keeps its bits; a bound that is still
-not a finite float raises ``float-range`` instead of returning inf. No
-float total uses the builtin ``sum``, so no output depends on the Python
-version: totals of variances and means add left to right
-(:func:`_plain_sum`), and a ``GammaMixture`` takes its loading total with
+(unclamped) value kept alongside. Each Kolmogorov term and Bernstein
+exponent is a quotient whose numerator and denominator are formed as the
+formula reads; where either of them leaves the normal float range (a
+square, product or quotient overflowed or underflowed, which only ``**``
+reports), and only there, the quotient is recomputed from the factors'
+mantissas and binary exponents (:func:`_product`), so every other input
+keeps its bits; a bound that is still not a finite float raises
+``float-range`` instead of returning inf. No float total uses the builtin
+``sum``, so no output depends on the Python version: totals of variances
+and means add left to right (``distributions._plain_sum``), and a
+``GammaMixture`` takes its loading total with
 ``distributions._pairwise_sum``, a plain-float mirror of numpy's pairwise
 ``np.sum``, and its largest prefix left to right, once, when it is built,
 so the mixture bounds never load numpy.
@@ -35,11 +39,12 @@ truncation), so the package needs no scipy at run time.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from ._lazy import np
-from .distributions import GammaMixture, NBParams, NB2Params
+from .distributions import GammaMixture, NBParams, NB2Params, _plain_sum
 from .errors import DomainError
 
 __all__ = [
@@ -68,6 +73,12 @@ _ORACLE_MAX_STATES = 10**7
 _ORACLE_SCAN_SLACK = 1e-6
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# A bound's quotient is divided as its formula reads only while numerator
+# and denominator lie in [_TINY, _INF): a part that is inf, 0 or subnormal
+# overflowed or underflowed on the way, which float ``*`` and ``/`` do
+# without notice, and the quotient is taken from _product instead.
+_TINY = sys.float_info.min
+_INF = math.inf
 
 
 @dataclass(frozen=True)
@@ -96,23 +107,38 @@ class BoundResult:
     optimizer: OptimizerDiagnostics | None = None
 
 
-def _plain_sum(values):
-    """``sum(values)`` added left to right from 0.
-
-    The builtin ``sum`` compensates its rounding on floats from Python 3.12
-    on, which moves the last bit of some totals; this is the sum it computed
-    before.
-    """
-    total = 0
-    for value in values:
-        total += value
-    return total
-
-
 def _float_range_error(lam) -> DomainError:
     return DomainError(
         "float-range", f"the bound at lambda = {lam} is outside the floating-point range"
     )
+
+
+def _product(numerators, denominators) -> float:
+    """``prod(numerators) / prod(denominators)`` of positive floats.
+
+    The binary exponents are summed apart from the mantissas, so no
+    intermediate leaves the float range: the result is rounded once per
+    factor and once more if it is subnormal, and is inf past the range.
+    """
+    mantissa, exponent = 1.0, 0
+    for value in numerators:
+        m, e = math.frexp(value)
+        mantissa, exponent = mantissa * m, exponent + e
+    for value in denominators:
+        m, e = math.frexp(value)
+        mantissa, exponent = mantissa / m, exponent - e
+    try:
+        return math.ldexp(mantissa, exponent)
+    except OverflowError:
+        return math.inf
+
+
+def _square(value: float) -> float:
+    """``value**2``, or inf where it overflows (``**`` raises there)."""
+    try:
+        return value**2
+    except OverflowError:
+        return math.inf
 
 
 def _clamped(threshold, raw, components=None, optimizer=None) -> BoundResult:
@@ -252,10 +278,11 @@ def kolmogorov_independent_bound(params: Sequence[NBParams], lam: float) -> Boun
         total = _plain_sum(q.variance() for q in params)
     except ZeroDivisionError:  # some p**2 underflowed to 0
         raise _float_range_error(lam) from None
-    try:
-        raw = total / lam**2
-    except (ZeroDivisionError, OverflowError):  # lam**2 left the float range
-        raw = total / lam / lam
+    lam2 = _square(lam)
+    if _TINY <= total < _INF and _TINY <= lam2 < _INF:
+        raw = total / lam2
+    else:
+        raw = _product([total], [lam, lam])
     return _clamped(lam, raw)
 
 
@@ -272,14 +299,19 @@ def dependent_kolmogorov_bound(model: GammaMixture, lam: float) -> BoundResult:
     theta_n = model.total_theta()
     m = model.max_prefix()
     try:
-        cond_term = 4.0 * (alpha / beta) * theta_n / lam**2
-    except (ZeroDivisionError, OverflowError):  # lam**2 left the float range
-        cond_term = 4.0 * (alpha / beta) * theta_n / lam / lam
-    try:
-        mix_term = 4.0 * m**2 * alpha / (beta**2 * lam**2)
-    except (ZeroDivisionError, OverflowError):  # a square left the float range
-        ratio = m / beta / lam
-        mix_term = 4.0 * ratio * ratio * alpha
+        lam2, m2, beta2 = lam**2, m**2, beta**2
+    except OverflowError:
+        lam2, m2, beta2 = _square(lam), _square(m), _square(beta)
+    num, den = 4.0 * (alpha / beta) * theta_n, lam2
+    if _TINY <= num < _INF and _TINY <= den < _INF:
+        cond_term = num / den
+    else:
+        cond_term = _product([4.0, alpha, theta_n], [beta, lam, lam])
+    num, den = 4.0 * m2 * alpha, beta2 * lam2
+    if _TINY <= num < _INF and _TINY <= den < _INF:
+        mix_term = num / den
+    else:
+        mix_term = _product([4.0, m, m, alpha], [beta, beta, lam, lam])
     return _clamped(lam, cond_term + mix_term, components=(cond_term, mix_term))
 
 
@@ -296,19 +328,31 @@ def bernstein_dependent_bound(model: GammaMixture, lam: float) -> BoundResult:
     theta_n = model.total_theta()
     m = model.max_prefix()
 
-    spread = alpha * theta_n / beta + lam / 6.0
     try:
-        cond_exponent = (lam**2 / 16.0) / spread
-    except ZeroDivisionError:  # spread underflowed, so lam < 3e-323 and the exponent < 3*lam/8
-        cond_exponent = 0.0
-    except OverflowError:  # lam**2 left the float range; spread >= lam / 6 > 0
-        cond_exponent = (lam / 16.0) * (lam / spread)
-    try:
-        quadratic = lam**2 * beta**2 / (32.0 * m**2 * alpha)
-    except (ZeroDivisionError, OverflowError):  # a square left the float range
-        scaled = lam * beta / m
-        quadratic = scaled * scaled / (32.0 * alpha)
-    mix_exponent = min(quadratic, lam * beta / (4.0 * m))
+        lam2, m2, beta2 = lam**2, m**2, beta**2
+    except OverflowError:
+        lam2, m2, beta2 = _square(lam), _square(m), _square(beta)
+    num, den = lam2 / 16.0, alpha * theta_n / beta + lam / 6.0
+    if _TINY <= num < _INF and _TINY <= den < _INF:
+        cond_exponent = num / den
+    else:
+        # 1 / (16*shape*Theta_n/(rate*lam**2) + 8/(3*lam)): the sum is at
+        # least 8/(3*lam) > 1e-308, and where it is inf the exponent is
+        # below the smallest normal float, so exp gives 1.0 either way
+        cond_exponent = 1.0 / (
+            _product([16.0, alpha, theta_n], [beta, lam, lam]) + _product([8.0], [3.0, lam])
+        )
+    num, den = lam2 * beta2, 32.0 * m2 * alpha
+    if _TINY <= num < _INF and _TINY <= den < _INF:
+        quadratic = num / den
+    else:
+        quadratic = _product([lam, lam, beta, beta], [32.0, m, m, alpha])
+    num, den = lam * beta, 4.0 * m
+    if _TINY <= num < _INF and _TINY <= den < _INF:
+        linear = num / den
+    else:
+        linear = _product([lam, beta], [4.0, m])
+    mix_exponent = min(quadratic, linear)
     # both exponents are >= 0, so each term lies in [0, 2]; exp underflows
     # to 0.0 harmlessly for huge exponents, and an overflowing one is inf
     cond_term = 2.0 * math.exp(-cond_exponent)

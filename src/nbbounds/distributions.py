@@ -103,6 +103,19 @@ class NB2Params:
         return self.mu + self.kappa * self.mu**2
 
 
+def _plain_sum(values):
+    """``sum(values)`` added left to right from 0.
+
+    The builtin ``sum`` compensates its rounding on floats from Python 3.12
+    on, which moves the last bit of some totals; this is the sum it computed
+    before.
+    """
+    total = 0
+    for value in values:
+        total += value
+    return total
+
+
 def _pairwise_sum(values: Sequence[float]) -> float:
     """``float(np.sum(np.asarray(values, dtype=float)))`` in plain floats.
 
@@ -157,7 +170,7 @@ class GammaMixture:
     The loading totals the mixture bounds read, ``total_theta()`` and
     ``max_prefix()``, are computed once, at construction, in plain floats:
     the total is :func:`_pairwise_sum`, bit for bit ``np.sum(thetas)``, and
-    the largest prefix is the left-to-right sum, which is what
+    the largest prefix is the left-to-right :func:`_plain_sum`, which is what
     ``np.cumsum(thetas).max()`` gives for positive loadings. So neither
     construction nor the mixture bounds load numpy. The totals are plain
     attributes, not fields, so equality, hashing and ``repr`` see the three
@@ -181,7 +194,7 @@ class GammaMixture:
         object.__setattr__(self, "gamma_shape", float(gamma_shape))
         object.__setattr__(self, "gamma_rate", float(gamma_rate))
         object.__setattr__(self, "thetas", thetas)
-        total_theta, max_prefix = _pairwise_sum(thetas), reduce(add, thetas)
+        total_theta, max_prefix = _pairwise_sum(thetas), _plain_sum(thetas)
         if not (math.isfinite(total_theta) and math.isfinite(max_prefix)):
             raise DomainError(
                 "float-range", "the total of the loadings is outside the floating-point range"

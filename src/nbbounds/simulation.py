@@ -34,9 +34,8 @@ from typing import Callable, Sequence
 
 from ._lazy import np
 from .bounds import control_limit, dependent_kolmogorov_bound, invert_bound, tweedie_variance
-from .bounds import _plain_sum
 from .distributions import GammaMixture, NBParams, NB2Params, sample_mixture_counts
-from .distributions import _nb2_replication_sampler, _pairwise_sum
+from .distributions import _nb2_replication_sampler, _pairwise_sum, _plain_sum
 from .errors import DomainError
 from .rng import streams
 

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from ._lazy import np
-from .bounds import _plain_sum, control_limit
-from .distributions import NB2Params, _pairwise_sum, sample_nb2
+from .bounds import control_limit
+from .distributions import NB2Params, _pairwise_sum, _plain_sum, sample_nb2
 from .errors import DomainError
 from .simulation import (
     SimulationSummary,

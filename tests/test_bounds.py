@@ -432,6 +432,39 @@ class TestFloatRange:
         assert result.bound_value == min(1.0, raw)
         assert result.components == components
 
+    @pytest.mark.parametrize(
+        "evaluate, cond, mix",
+        [
+            # lam*rate overflows to inf without an exception, though
+            # lam*rate/M = 8: the mixing exponent is min(64/(32*4), 8/4) = 0.5
+            (lambda: bernstein_dependent_bound(GammaMixture(4, 2.4e108, [3e307]), 1e200),
+             0.0, 2.0 * math.exp(-0.5)),
+            # lam**2*rate**2 and 32*M**2*shape both overflow (their quotient
+            # was NaN); the exponents are 0.0625 and 1e200/(32*1e200) = 0.03125
+            (lambda: bernstein_dependent_bound(GammaMixture(1e200, 1e100, [1e100]), 1e100),
+             2.0 * math.exp(-0.0625), 2.0 * math.exp(-0.03125)),
+            # lam**2*rate**2 overflows alone, which made the quadratic branch
+            # inf and the mixing term 0; lam*rate/M = 1.265e6
+            (lambda: bernstein_dependent_bound(GammaMixture(1e10, 2.53, [2e148]), 1e154),
+             0.0, 2.0 * math.exp(-(1.265e6**2) / 3.2e11)),
+            # 4*M**2*shape overflows (the term was inf)
+            (lambda: dependent_kolmogorov_bound(GammaMixture(1e10, 1e10, [1e150]), 1e10),
+             4e130, 4e270),
+            # rate**2*lam**2 overflows, which made the mixing term 0
+            (lambda: dependent_kolmogorov_bound(GammaMixture(1, 1e10, [1e150]), 1e150),
+             4e-160, 4e-20),
+            # lam**2 is subnormal, so dividing by it lost bits (2.00002e290)
+            (lambda: kolmogorov_independent_bound([NBParams(1e-30, 0.5)], 1e-160), 2e290, 0.0),
+        ],
+    )
+    def test_finite_bound_past_an_overflowing_product(self, evaluate, cond, mix):
+        result = evaluate()
+        cond_term, mix_term = result.components or (result.raw_value, 0.0)
+        assert cond_term == pytest.approx(cond, rel=1e-14, abs=0)
+        assert mix_term == pytest.approx(mix, rel=1e-14, abs=0)
+        assert result.raw_value == cond_term + mix_term
+        assert result.bound_value == min(1.0, result.raw_value)
+
     def test_rescaled_mixing_term_keeps_its_value(self):
         # M**2 and lam**2 overflow: 4*shape*(M/(rate*lam))**2 = 16 * (2.5e-51)**2
         result = dependent_kolmogorov_bound(GammaMixture(4, 4, [1e200]), 1e250)

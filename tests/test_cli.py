@@ -172,6 +172,17 @@ class TestBoundCommand:
         assert record["raw_value"] == raw_value
         assert record["bound_value"] == min(1.0, raw_value)
 
+    def test_finite_bound_past_an_overflowing_product_exit_0(self):
+        # lam*rate = 2.4e308 overflows, but lam*rate/M = 8 and the mixing
+        # exponent is min(64/(32*4), 8/4) = 0.5
+        proc = run_cli("bound", "bernstein", "--shape", "4", "--rate", "2.4e108",
+                       "--thetas", "3e307", "--lambda", "1e200")
+        assert proc.returncode == 0, proc.stderr
+        record = json.loads(proc.stdout)
+        assert record["components"]["cond_term"] == 0.0
+        assert record["raw_value"] == pytest.approx(2.0 * math.exp(-0.5), rel=1e-14, abs=0)
+        assert record["bound_value"] == 1.0
+
 
 class TestLimitCommand:
     def test_scenario_limits(self, scenario_file):
