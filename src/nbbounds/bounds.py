@@ -19,16 +19,21 @@ to ``lambda**2``. Reported values are clamped to [0, 1] with the raw
 exponent is a quotient whose numerator and denominator are formed as the
 formula reads; where either of them leaves the normal float range (a
 square, product or quotient overflowed or underflowed, which only ``**``
-reports), and only there, the quotient is recomputed from the factors'
-mantissas and binary exponents (:func:`_product`), so every other input
-keeps its bits; a bound that is still not a finite float raises
-``float-range`` instead of returning inf. No float total uses the builtin
-``sum``, so no output depends on the Python version: totals of variances
-and means add left to right (``distributions._plain_sum``), and a
-``GammaMixture`` takes its loading total with
-``distributions._pairwise_sum``, a plain-float mirror of numpy's pairwise
-``np.sum``, and its largest prefix left to right, once, when it is built,
-so the mixture bounds never load numpy.
+reports, or a variance overflowed), and only there, the quotient is
+recomputed from the factors' mantissas and binary exponents
+(:func:`_product`), so every other input keeps its bits; a bound that is
+still not a finite float raises ``float-range`` instead of returning inf.
+No float total uses the builtin ``sum``, so no output depends on the
+Python version: totals of variances and means add left to right
+(``distributions._plain_sum``), and a ``GammaMixture`` takes its loading
+total with ``distributions._pairwise_sum``, a plain-float mirror of
+numpy's pairwise ``np.sum``, and its largest prefix left to right, once,
+when it is built, so the mixture bounds never load numpy.
+A threshold comes from inverting a bound (:func:`invert_bound`): it is the
+float that a plain bisection to relative width 1e-9 returns, found in about
+15 bound evaluations instead of about 40, because a safeguarded secant
+first brackets the crossing so tightly that the bisection's comparisons
+outside the bracket need no evaluation.
 Two exact-tail oracles validate the bounds on small instances. Both run
 one absorbing-barrier walk that convolves truncated PMFs one variable at a
 time, under one work budget; the mean tail runs it with no barrier. The NB
@@ -64,6 +69,15 @@ __all__ = [
 
 # Geometric bracket growth for bound inversion stops here.
 _INVERT_LAMBDA_CAP = 1e12
+# Bound inversion narrows its bracket to this width in log lambda before the
+# bisection, whose own steps stop near 1e-9, so few midpoints fall inside it.
+_NARROW_WIDTH = 4e-12
+# Distance in log lambda from a secant probe to the root estimate.
+_NARROW_STEP = 1e-12
+# A narrowing probe whose value is this close to alpha (relative) is no end.
+_NARROW_MARGIN = 2.0**-48
+# Narrowing probes per inversion at most; the plain bisection takes about 30.
+_NARROW_PROBES = 20
 # Marginal supports are truncated at this per-variable tail mass.
 _ORACLE_TAIL_MASS = 1e-12
 # Work budget for the exact-tail oracle's convolutions; also caps one marginal's scan.
@@ -277,12 +291,15 @@ def kolmogorov_independent_bound(params: Sequence[NBParams], lam: float) -> Boun
     try:
         total = _plain_sum(q.variance() for q in params)
     except ZeroDivisionError:  # some p**2 underflowed to 0
-        raise _float_range_error(lam) from None
+        total = _INF
     lam2 = _square(lam)
     if _TINY <= total < _INF and _TINY <= lam2 < _INF:
         raw = total / lam2
-    else:
+    elif total < _INF:
         raw = _product([total], [lam, lam])
+    else:
+        # a variance left the float range: divide each by lam**2 apart
+        raw = _plain_sum(_product([q.r, 1.0 - q.p], [q.p, q.p, lam, lam]) for q in params)
     return _clamped(lam, raw)
 
 
@@ -366,14 +383,21 @@ def invert_bound(bound: Callable[[float], float], alpha_level: float) -> float:
     ``bound`` maps a threshold to a tail-probability bound and must be
     strictly decreasing once below 1. The bracket grows geometrically from
     1 (and shrinks below 1 if needed), then bisection refines to relative
-    tolerance 1e-9. Raises ``uninvertible`` if no threshold up to 1e12
-    brings the bound down to ``alpha_level``.
+    tolerance 1e-9; the result is the float that this plain bisection
+    returns. Under the monotonicity contract each comparison
+    ``bound(mid) <= alpha_level`` at a midpoint outside an evaluated
+    bracket ``[a, b]`` has a known answer, so the bisection calls ``bound``
+    only at midpoints strictly inside it, after :func:`_narrow_bracket` has
+    shrunk the bracket to a relative width of about 4e-12. An inversion
+    typically takes 11 to 20 evaluations of ``bound`` in all, where the
+    plain bisection takes about 40. Raises ``uninvertible`` if no threshold
+    up to 1e12 brings the bound down to ``alpha_level``.
     """
     if not (0.0 < alpha_level < 1.0):
         raise DomainError("invalid-parameter", f"alpha_level must lie in (0, 1), got {alpha_level}")
 
     hi = 1.0
-    while bound(hi) > alpha_level:
+    while (at_hi := bound(hi)) > alpha_level:
         hi *= 2.0
         if hi > _INVERT_LAMBDA_CAP:
             raise DomainError(
@@ -381,18 +405,85 @@ def invert_bound(bound: Callable[[float], float], alpha_level: float) -> float:
                 f"bound stays above {alpha_level} for thresholds up to {_INVERT_LAMBDA_CAP:g}",
             )
     lo = hi / 2.0
-    while lo > 0 and bound(lo) <= alpha_level:
+    b, at_b = hi, at_hi
+    while lo > 0 and (at_lo := bound(lo)) <= alpha_level:
+        b, at_b = lo, at_lo
         lo /= 2.0
         if lo < 1e-300:
             break
-    # invariant: bound(lo) > alpha_level >= bound(hi)
+    # invariant: bound(lo) > alpha_level >= bound(hi), unless the halving
+    # stopped at 1e-300 before evaluating lo; then every midpoint is evaluated
+    if lo >= 1e-300:
+        a, b = _narrow_bracket(bound, alpha_level, lo, at_lo, b, at_b)
+    else:
+        a, b = lo, hi
     while (hi - lo) > 1e-9 * hi:
         mid = 0.5 * (lo + hi)
-        if bound(mid) <= alpha_level:
+        if mid >= b:  # bound(mid) <= bound(b) <= alpha_level
+            hi = mid
+        elif mid <= a:  # bound(mid) >= bound(a) > alpha_level
+            lo = mid
+        elif bound(mid) <= alpha_level:
             hi = mid
         else:
             lo = mid
     return hi
+
+
+def _narrow_bracket(bound, alpha_level, a, at_a, b, at_b) -> tuple[float, float]:
+    """Shrink ``[a, b]``, where ``at_a = bound(a) > alpha_level >= bound(b) = at_b``.
+
+    Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971) on
+    ``log bound - log alpha_level`` against ``log lambda``; while
+    ``bound(a)`` is clamped at 1 or ``bound(b)`` is 0 it bisects in
+    ``log lambda`` instead. Each secant probe lies ``_NARROW_STEP`` past
+    the root estimate, on the side of the end the last probe did not
+    replace, so once the estimate is that accurate the next two probes
+    close the bracket from both sides. A probe becomes an end only if its
+    value is more than ``_NARROW_MARGIN`` (relative) away from
+    ``alpha_level``; a probe within the margin lies about on the crossing,
+    and the next two probes go ``_NARROW_STEP`` to either side of it. So a
+    wobble of a few ulps in ``bound`` near the crossing cannot place an
+    end there, and every answer taken from an end is the one ``bound``
+    would give.
+    Stops at a width of ``_NARROW_WIDTH`` in ``log lambda`` or after
+    ``_NARROW_PROBES`` probes; the bracket is valid either way.
+    """
+    log_alpha = math.log(alpha_level)
+    above = alpha_level * (1.0 + _NARROW_MARGIN)
+    below = alpha_level * (1.0 - _NARROW_MARGIN)
+    ua, ub = math.log(a), math.log(b)
+    weight_a = weight_b = 1.0  # Illinois: halve a retained end's log ratio
+    side = 0  # +1 or -1 as the last probe replaced a or b
+    near: list[float] = []
+    for _ in range(_NARROW_PROBES):
+        if ub - ua <= _NARROW_WIDTH:
+            break
+        if near:
+            u = near.pop()
+        elif at_a < 1.0 and at_b > 0.0:
+            ga = weight_a * (math.log(at_a) - log_alpha)
+            gb = weight_b * (math.log(at_b) - log_alpha)
+            u = ua + ga * (ub - ua) / (ga - gb) if ga > gb else 0.5 * (ua + ub)
+            u += _NARROW_STEP if side > 0 else -_NARROW_STEP
+        else:
+            u = 0.5 * (ua + ub)
+        u = min(max(u, ua + _NARROW_STEP), ub - _NARROW_STEP)
+        x = math.exp(u)
+        if not a < x < b:
+            break
+        value = bound(x)
+        if value > above:
+            if side > 0:
+                weight_b *= 0.5
+            a, at_a, ua, weight_a, side = x, value, u, 1.0, 1
+        elif value < below:
+            if side < 0:
+                weight_a *= 0.5
+            b, at_b, ub, weight_b, side = x, value, u, 1.0, -1
+        else:
+            near = [u + _NARROW_STEP, u - _NARROW_STEP]
+    return a, b
 
 
 @dataclass(frozen=True)

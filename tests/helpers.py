@@ -1,13 +1,18 @@
 """Independent oracles shared by the unit and acceptance suites.
 
 Everything here deliberately avoids the package's own computational paths:
-PMFs come from scipy, mixture marginals from numerical quadrature, and
-Monte Carlo cross-checks from numpy's native samplers.
+PMFs come from scipy, mixture marginals from numerical quadrature, Monte
+Carlo cross-checks from numpy's native samplers, and bound inversion from
+the plain bisection that ``invert_bound`` must reproduce float for float.
 """
 
 import numpy as np
 from scipy import integrate, stats
 from scipy.special import gammaln
+
+from nbbounds import DomainError
+
+_INVERT_LAMBDA_CAP = 1e12
 
 
 def quad_mixture_pmf(k: int, alpha: float, beta: float, theta: float) -> float:
@@ -59,3 +64,36 @@ def mc_mixture_max_deviations(alpha, beta, thetas, reps: int, seed: int) -> np.n
     counts = gen.poisson(lam_draws[:, None] * thetas[None, :])
     means = alpha * thetas / beta
     return np.abs(np.cumsum(counts - means, axis=1)).max(axis=1)
+
+
+def reference_invert_bound(bound, alpha_level: float) -> float:
+    """``invert_bound`` as a plain bisection that evaluates every midpoint.
+
+    Doubles from 1 to a threshold where ``bound`` is at most
+    ``alpha_level``, halves down to one where it is above, then bisects to
+    relative width 1e-9 and returns the upper end.
+    """
+    if not (0.0 < alpha_level < 1.0):
+        raise DomainError("invalid-parameter", f"alpha_level must lie in (0, 1), got {alpha_level}")
+
+    hi = 1.0
+    while bound(hi) > alpha_level:
+        hi *= 2.0
+        if hi > _INVERT_LAMBDA_CAP:
+            raise DomainError(
+                "uninvertible",
+                f"bound stays above {alpha_level} for thresholds up to {_INVERT_LAMBDA_CAP:g}",
+            )
+    lo = hi / 2.0
+    while lo > 0 and bound(lo) <= alpha_level:
+        lo /= 2.0
+        if lo < 1e-300:
+            break
+    # invariant: bound(lo) > alpha_level >= bound(hi)
+    while (hi - lo) > 1e-9 * hi:
+        mid = 0.5 * (lo + hi)
+        if bound(mid) <= alpha_level:
+            hi = mid
+        else:
+            lo = mid
+    return hi

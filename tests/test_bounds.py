@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -263,14 +264,24 @@ class TestInvertBound:
         assert lam == pytest.approx(5.0, rel=1e-8)
 
     def test_table_thresholds(self, design):
-        lam_i = invert_bound(
-            lambda l: kolmogorov_independent_bound(design.independent, l).bound_value, 0.05
-        )
-        lam_d = invert_bound(
-            lambda l: dependent_kolmogorov_bound(design.mixture, l).bound_value, 0.05
-        )
+        calls = []
+
+        def counted(bound, model):
+            def value(lam):
+                calls.append(lam)
+                return bound(model, lam).bound_value
+
+            return value
+
+        lam_i = invert_bound(counted(kolmogorov_independent_bound, design.independent), 0.05)
+        calls_i = len(calls)
+        lam_d = invert_bound(counted(dependent_kolmogorov_bound, design.mixture), 0.05)
+        calls_d = len(calls) - calls_i
         assert lam_i == pytest.approx(72.49, abs=0.01)
         assert lam_d == pytest.approx(476.52, abs=0.01)
+        # 11 and 13 evaluations; the plain bisection takes 39 and 41
+        assert calls_i <= 20
+        assert calls_d <= 20
 
     def test_uninvertible(self):
         with pytest.raises(DomainError, match="uninvertible"):
@@ -464,6 +475,21 @@ class TestFloatRange:
         assert mix_term == pytest.approx(mix, rel=1e-14, abs=0)
         assert result.raw_value == cond_term + mix_term
         assert result.bound_value == min(1.0, result.raw_value)
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            [NBParams(1e300, 1e-5)],  # r*(1-p)/p**2 is about 1e310
+            [NBParams(1e300, 1e-5)] * 3,
+            [NBParams(1e-30, 1e-170), NBParams(3, 0.3)],  # p**2 underflows to 0
+        ],
+    )
+    def test_finite_bound_past_an_overflowing_variance(self, params):
+        variances = [Fraction(q.r) * (1 - Fraction(q.p)) / Fraction(q.p) ** 2 for q in params]
+        raw = float(sum(variances) / Fraction(1e200) ** 2)  # about 1e-90
+        result = kolmogorov_independent_bound(params, 1e200)
+        assert result.raw_value == raw
+        assert result.bound_value == raw
 
     def test_rescaled_mixing_term_keeps_its_value(self):
         # M**2 and lam**2 overflow: 4*shape*(M/(rate*lam))**2 = 16 * (2.5e-51)**2

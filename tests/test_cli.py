@@ -160,6 +160,8 @@ class TestBoundCommand:
         "argv, raw_value",
         [
             (["kolmogorov-indep", "--params", "3:0.3", "--lambda", "1e300"], 0.0),
+            # the variance r*(1-p)/p**2 overflows; the bound is 1e310 / 1e400
+            (["kolmogorov-indep", "--params", "1e300:1e-5", "--lambda", "1e200"], 9.9999e-91),
             (["bernstein", "--shape", "4", "--rate", "4", "--thetas", "1e-200", "--lambda", "1"],
              2.0 * math.exp(-0.375)),
         ],

@@ -35,6 +35,8 @@ from nbbounds import (
 from nbbounds import distributions
 from nbbounds.bounds import _golden_section_minimize
 
+from helpers import reference_invert_bound
+
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 
 nb_params = st.lists(
@@ -95,6 +97,113 @@ def test_invert_bound_round_trips(bound, alpha):
 
     lam_star = invert_bound(value, alpha)
     assert value(lam_star) <= alpha < value(lam_star * (1.0 - 1e-9))
+
+
+# -- bound inversion against the plain bisection ------------------------------
+
+CLOSED_FORMS = [
+    lambda lam: min(1.0, 1.0 / lam**2),
+    lambda lam: min(1.0, math.exp(-lam)),
+    # at most alpha at lambda = 1 for alpha >= 3e-5, so the halving loop runs
+    lambda lam: min(1.0, 3e-5 / lam),
+]
+
+
+def _one_ulp_wobble(value: float, lam: float) -> float:
+    """``value`` moved one ulp up or down by the last bit of ``lam``."""
+    up = int(math.frexp(lam)[0] * 2.0**53) & 1
+    return math.nextafter(value, math.inf if up else 0.0)
+
+
+def _wobbling_inverse_square(alpha: float):
+    """``min(1, 1/lam**2)`` with a one-ulp wobble within relative 1e-9 of
+    its crossing with ``alpha``."""
+    crossing = alpha**-0.5
+
+    def value(lam):
+        v = min(1.0, 1.0 / lam**2)
+        return _one_ulp_wobble(v, lam) if abs(lam - crossing) <= 1e-9 * crossing else v
+
+    return value
+
+
+def _flat_wobbling_bound(lam: float) -> float:
+    """``0.5 - 5e-5 log(lam)`` with a one-ulp wobble: its log-log slope is
+    only about -1e-4, so the wobble spans about 2e-12 of lambda."""
+    return _one_ulp_wobble(min(1.0, 0.5 - 5e-5 * math.log(lam)), lam)
+
+
+def _inversion_outcome(invert, bound, alpha):
+    """The threshold, or the code and message of the error raised."""
+    try:
+        return invert(bound, alpha)
+    except DomainError as error:
+        return error.code, str(error)
+
+
+# 8 levels, log-uniform on [1e-10, 0.99], per example
+inversion_levels = st.lists(
+    st.floats(math.log(1e-10), math.log(0.99)).map(math.exp), min_size=8, max_size=8
+)
+
+
+# 200 examples of 8 levels and 7 bounds: 11,200 inversions per run
+@settings(max_examples=200, deadline=None)
+@given(params=nb_params, model=mixtures, alphas=inversion_levels)
+def test_invert_bound_equals_plain_bisection(params, model, alphas):
+    library = [
+        lambda lam: kolmogorov_independent_bound(params, lam).bound_value,
+        lambda lam: dependent_kolmogorov_bound(model, lam).bound_value,
+        lambda lam: bernstein_dependent_bound(model, lam).bound_value,
+    ]
+    for alpha in alphas:
+        for bound in [*library, *CLOSED_FORMS, _wobbling_inverse_square(alpha)]:
+            ours = _inversion_outcome(invert_bound, bound, alpha)
+            assert ours == _inversion_outcome(reference_invert_bound, bound, alpha)
+
+
+@pytest.mark.parametrize("alpha", [0.04, 0.0625, 0.25, 0.5, 2.0**-20, 1e-10, 0.99])
+@pytest.mark.parametrize("bound", [*CLOSED_FORMS, "wobbling"])
+def test_invert_bound_equals_plain_bisection_at_exact_crossings(bound, alpha):
+    # 1/lam**2 crosses 0.04 at 5 and 2**-20 at 1024, where the bisection
+    # evaluates the crossing itself
+    if bound == "wobbling":
+        bound = _wobbling_inverse_square(alpha)
+    assert invert_bound(bound, alpha) == reference_invert_bound(bound, alpha)
+
+
+def test_invert_bound_equals_plain_bisection_on_a_flat_wobbling_bound():
+    # crossings between 1.2 and 2,981; a narrowing that took a probe within
+    # the wobble of the crossing as a bracket end fails about 1 in 700
+    rng = random.Random(0)
+    for _ in range(5000):
+        alpha = rng.uniform(0.4996, 0.49999)
+        ours = invert_bound(_flat_wobbling_bound, alpha)
+        assert ours == reference_invert_bound(_flat_wobbling_bound, alpha), alpha
+
+
+def test_invert_bound_equals_plain_bisection_below_the_halving_floor():
+    # the crossing, 2e-310, lies below 1e-300, where the halving loop stops
+    # without evaluating its last point
+    bound = lambda lam: min(1.0, 1e-310 / lam)  # noqa: E731
+    assert invert_bound(bound, 0.5) == reference_invert_bound(bound, 0.5)
+
+
+@pytest.mark.parametrize(
+    "bound, alpha",
+    [
+        (lambda lam: 1.0, 0.05),
+        (lambda lam: min(1.0, 1e30 / lam**2), 0.01),  # crosses at 1e16
+        (lambda lam: 1.0 / lam**2, 0.0),
+        (lambda lam: 1.0 / lam**2, 1.0),
+        (lambda lam: 1.0 / lam**2, -0.5),
+        (lambda lam: 1.0 / lam**2, math.nan),
+    ],
+)
+def test_invert_bound_raises_as_plain_bisection(bound, alpha):
+    ours = _inversion_outcome(invert_bound, bound, alpha)
+    assert isinstance(ours, tuple)
+    assert ours == _inversion_outcome(reference_invert_bound, bound, alpha)
 
 
 # small enough for the exact oracle's joint support budget
