@@ -15,14 +15,13 @@ Four inequalities are implemented:
 The Chernoff bound and the Bernstein exponents are formed in the log domain
 and exponentiated last; the Kolmogorov bounds are plain ratios of variance
 to ``lambda**2``. Reported values are clamped to [0, 1] with the raw
-(unclamped) value kept alongside. Each Kolmogorov term and Bernstein
-exponent is a quotient whose numerator and denominator are formed as the
-formula reads; where either of them leaves the normal float range (a
-square, product or quotient overflowed or underflowed, which only ``**``
-reports, or a variance overflowed), and only there, the quotient is
-recomputed from the factors' mantissas and binary exponents
-(:func:`_product`), so every other input keeps its bits; a bound that is
-still not a finite float raises ``float-range`` instead of returning inf.
+(unclamped) value kept alongside. One float-range rule covers the
+Kolmogorov terms, the Bernstein exponents, the variances and the control
+limit: while each input factor lies in ``[2**-255, 2**255]`` the formula is
+evaluated as it reads; otherwise a quotient comes from
+``distributions._product``, which keeps mantissas and binary exponents
+apart, and the limit is ``sqrt(v_n) / sqrt(alpha)``. A bound, variance
+total or limit that is not a finite float raises ``float-range``.
 No float total uses the builtin ``sum``, so no output depends on the
 Python version: totals of variances and means add left to right
 (``distributions._plain_sum``), and a ``GammaMixture`` takes its loading
@@ -44,12 +43,11 @@ truncation), so the package needs no scipy at run time.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from ._lazy import np
-from .distributions import GammaMixture, NBParams, NB2Params, _plain_sum
+from .distributions import _BOX_HI, _BOX_LO, GammaMixture, NBParams, NB2Params, _plain_sum, _product
 from .errors import DomainError
 
 __all__ = [
@@ -87,12 +85,6 @@ _ORACLE_MAX_STATES = 10**7
 _ORACLE_SCAN_SLACK = 1e-6
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-# A bound's quotient is divided as its formula reads only while numerator
-# and denominator lie in [_TINY, _INF): a part that is inf, 0 or subnormal
-# overflowed or underflowed on the way, which float ``*`` and ``/`` do
-# without notice, and the quotient is taken from _product instead.
-_TINY = sys.float_info.min
-_INF = math.inf
 
 
 @dataclass(frozen=True)
@@ -121,43 +113,11 @@ class BoundResult:
     optimizer: OptimizerDiagnostics | None = None
 
 
-def _float_range_error(lam) -> DomainError:
-    return DomainError(
-        "float-range", f"the bound at lambda = {lam} is outside the floating-point range"
-    )
-
-
-def _product(numerators, denominators) -> float:
-    """``prod(numerators) / prod(denominators)`` of positive floats.
-
-    The binary exponents are summed apart from the mantissas, so no
-    intermediate leaves the float range: the result is rounded once per
-    factor and once more if it is subnormal, and is inf past the range.
-    """
-    mantissa, exponent = 1.0, 0
-    for value in numerators:
-        m, e = math.frexp(value)
-        mantissa, exponent = mantissa * m, exponent + e
-    for value in denominators:
-        m, e = math.frexp(value)
-        mantissa, exponent = mantissa / m, exponent - e
-    try:
-        return math.ldexp(mantissa, exponent)
-    except OverflowError:
-        return math.inf
-
-
-def _square(value: float) -> float:
-    """``value**2``, or inf where it overflows (``**`` raises there)."""
-    try:
-        return value**2
-    except OverflowError:
-        return math.inf
-
-
 def _clamped(threshold, raw, components=None, optimizer=None) -> BoundResult:
     if not raw < math.inf:  # also rejects NaN
-        raise _float_range_error(threshold)
+        raise DomainError(
+            "float-range", f"the bound at lambda = {threshold} is outside the floating-point range"
+        )
     return BoundResult(
         threshold=float(threshold),
         bound_value=min(1.0, float(raw)),
@@ -253,12 +213,10 @@ def tweedie_variance(params: Sequence[NB2Params]) -> float:
     params = list(params)
     if not params:
         raise DomainError("invalid-parameter", "params must be a nonempty sequence")
-    try:
-        return float(_plain_sum(q.variance() for q in params))
-    except OverflowError:
-        raise DomainError(
-            "float-range", "the total variance is outside the floating-point range"
-        ) from None
+    total = float(_plain_sum(q.variance() for q in params))
+    if not total < math.inf:
+        raise DomainError("float-range", "the total variance is outside the floating-point range")
+    return total
 
 
 def control_limit(v_n: float, alpha_level: float) -> float:
@@ -270,7 +228,10 @@ def control_limit(v_n: float, alpha_level: float) -> float:
     _require_positive("v_n", v_n)
     if not (0.0 < alpha_level < 1.0):
         raise DomainError("invalid-parameter", f"alpha_level must lie in (0, 1), got {alpha_level}")
-    limit = math.sqrt(v_n / alpha_level)
+    if _BOX_LO <= v_n <= _BOX_HI and _BOX_LO <= alpha_level:
+        limit = math.sqrt(v_n / alpha_level)
+    else:
+        limit = math.sqrt(v_n) / math.sqrt(alpha_level)
     if not limit < math.inf:
         raise DomainError(
             "float-range",
@@ -288,17 +249,10 @@ def kolmogorov_independent_bound(params: Sequence[NBParams], lam: float) -> Boun
     if not params:
         raise DomainError("invalid-parameter", "params must be a nonempty sequence")
     _require_positive("lambda", lam)
-    try:
-        total = _plain_sum(q.variance() for q in params)
-    except ZeroDivisionError:  # some p**2 underflowed to 0
-        total = _INF
-    lam2 = _square(lam)
-    if _TINY <= total < _INF and _TINY <= lam2 < _INF:
-        raw = total / lam2
-    elif total < _INF:
-        raw = _product([total], [lam, lam])
+    total = _plain_sum(q.variance() for q in params)
+    if _BOX_LO <= total <= _BOX_HI and _BOX_LO <= lam <= _BOX_HI:
+        raw = total / lam**2
     else:
-        # a variance left the float range: divide each by lam**2 apart
         raw = _plain_sum(_product([q.r, 1.0 - q.p], [q.p, q.p, lam, lam]) for q in params)
     return _clamped(lam, raw)
 
@@ -315,19 +269,13 @@ def dependent_kolmogorov_bound(model: GammaMixture, lam: float) -> BoundResult:
     alpha, beta = model.gamma_shape, model.gamma_rate
     theta_n = model.total_theta()
     m = model.max_prefix()
-    try:
-        lam2, m2, beta2 = lam**2, m**2, beta**2
-    except OverflowError:
-        lam2, m2, beta2 = _square(lam), _square(m), _square(beta)
-    num, den = 4.0 * (alpha / beta) * theta_n, lam2
-    if _TINY <= num < _INF and _TINY <= den < _INF:
-        cond_term = num / den
+    if (_BOX_LO <= alpha <= _BOX_HI and _BOX_LO <= beta <= _BOX_HI and _BOX_LO <= lam <= _BOX_HI
+            and _BOX_LO <= theta_n <= _BOX_HI and _BOX_LO <= m <= _BOX_HI):
+        lam2 = lam**2
+        cond_term = 4.0 * (alpha / beta) * theta_n / lam2
+        mix_term = 4.0 * m**2 * alpha / (beta**2 * lam2)
     else:
         cond_term = _product([4.0, alpha, theta_n], [beta, lam, lam])
-    num, den = 4.0 * m2 * alpha, beta2 * lam2
-    if _TINY <= num < _INF and _TINY <= den < _INF:
-        mix_term = num / den
-    else:
         mix_term = _product([4.0, m, m, alpha], [beta, beta, lam, lam])
     return _clamped(lam, cond_term + mix_term, components=(cond_term, mix_term))
 
@@ -344,14 +292,12 @@ def bernstein_dependent_bound(model: GammaMixture, lam: float) -> BoundResult:
     alpha, beta = model.gamma_shape, model.gamma_rate
     theta_n = model.total_theta()
     m = model.max_prefix()
-
-    try:
-        lam2, m2, beta2 = lam**2, m**2, beta**2
-    except OverflowError:
-        lam2, m2, beta2 = _square(lam), _square(m), _square(beta)
-    num, den = lam2 / 16.0, alpha * theta_n / beta + lam / 6.0
-    if _TINY <= num < _INF and _TINY <= den < _INF:
-        cond_exponent = num / den
+    if (_BOX_LO <= alpha <= _BOX_HI and _BOX_LO <= beta <= _BOX_HI and _BOX_LO <= lam <= _BOX_HI
+            and _BOX_LO <= theta_n <= _BOX_HI and _BOX_LO <= m <= _BOX_HI):
+        lam2 = lam**2
+        cond_exponent = lam2 / 16.0 / (alpha * theta_n / beta + lam / 6.0)
+        quadratic = lam2 * beta**2 / (32.0 * m**2 * alpha)
+        linear = lam * beta / (4.0 * m)
     else:
         # 1 / (16*shape*Theta_n/(rate*lam**2) + 8/(3*lam)): the sum is at
         # least 8/(3*lam) > 1e-308, and where it is inf the exponent is
@@ -359,15 +305,7 @@ def bernstein_dependent_bound(model: GammaMixture, lam: float) -> BoundResult:
         cond_exponent = 1.0 / (
             _product([16.0, alpha, theta_n], [beta, lam, lam]) + _product([8.0], [3.0, lam])
         )
-    num, den = lam2 * beta2, 32.0 * m2 * alpha
-    if _TINY <= num < _INF and _TINY <= den < _INF:
-        quadratic = num / den
-    else:
         quadratic = _product([lam, lam, beta, beta], [32.0, m, m, alpha])
-    num, den = lam * beta, 4.0 * m
-    if _TINY <= num < _INF and _TINY <= den < _INF:
-        linear = num / den
-    else:
         linear = _product([lam, beta], [4.0, m])
     mix_exponent = min(quadratic, linear)
     # both exponents are >= 0, so each term lies in [0, 2]; exp underflows
@@ -396,9 +334,9 @@ def invert_bound(bound: Callable[[float], float], alpha_level: float) -> float:
     if not (0.0 < alpha_level < 1.0):
         raise DomainError("invalid-parameter", f"alpha_level must lie in (0, 1), got {alpha_level}")
 
-    hi = 1.0
+    hi, at_lo = 1.0, None
     while (at_hi := bound(hi)) > alpha_level:
-        hi *= 2.0
+        hi, at_lo = 2.0 * hi, at_hi  # at_lo = bound(hi / 2) > alpha_level
         if hi > _INVERT_LAMBDA_CAP:
             raise DomainError(
                 "uninvertible",
@@ -406,11 +344,12 @@ def invert_bound(bound: Callable[[float], float], alpha_level: float) -> float:
             )
     lo = hi / 2.0
     b, at_b = hi, at_hi
-    while lo > 0 and (at_lo := bound(lo)) <= alpha_level:
-        b, at_b = lo, at_lo
-        lo /= 2.0
-        if lo < 1e-300:
-            break
+    if at_lo is None:  # bound(1) <= alpha_level: halve below 1
+        while (at_lo := bound(lo)) <= alpha_level:
+            b, at_b = lo, at_lo
+            lo /= 2.0
+            if lo < 1e-300:
+                break
     # invariant: bound(lo) > alpha_level >= bound(hi), unless the halving
     # stopped at 1e-300 before evaluating lo; then every midpoint is evaluated
     if lo >= 1e-300:

@@ -68,7 +68,10 @@ class NBParams:
         return self.r * (1.0 - self.p) / self.p
 
     def variance(self) -> float:
-        return self.r * (1.0 - self.p) / self.p**2
+        r, p = self.r, self.p
+        if _BOX_LO <= r <= _BOX_HI and _BOX_LO <= p:
+            return r * (1.0 - p) / p**2
+        return _product([r, 1.0 - p], [p, p])
 
     def overdispersion_index(self) -> float:
         """Variance over mean, ``1 + (1-p)/p`` (equivalently ``1/p``)."""
@@ -100,7 +103,40 @@ class NB2Params:
         return self.mu
 
     def variance(self) -> float:
-        return self.mu + self.kappa * self.mu**2
+        if _BOX_LO <= self.mu <= _BOX_HI and _BOX_LO <= self.kappa <= _BOX_HI:
+            return self.mu + self.kappa * self.mu**2
+        return self.mu + _product([self.kappa, self.mu, self.mu], [])
+
+
+# The box: closed forms are evaluated as they read only while every input
+# factor lies in [_BOX_LO, _BOX_HI], and otherwise by _product.
+_BOX_LO = 2.0**-255
+_BOX_HI = 2.0**255
+
+
+def _product(numerators, denominators) -> float:
+    """``prod(numerators) / prod(denominators)`` of positive floats.
+
+    The binary exponents are summed apart from the mantissas, so no
+    intermediate leaves the float range: the result is rounded once per
+    factor and once more if it is subnormal, and is inf past the range.
+    The box comes from Higham's standard model (*Accuracy and Stability of
+    Numerical Algorithms*, SIAM 2002, section 2.2): up to four factors in it
+    keep every intermediate in ``[2**-1020, 2**1020]``, so each operation
+    but the last is correctly rounded in the normal range, and the last is
+    correctly rounded, overflow to inf and gradual underflow included.
+    """
+    mantissa, exponent = 1.0, 0
+    for value in numerators:
+        m, e = math.frexp(value)
+        mantissa, exponent = mantissa * m, exponent + e
+    for value in denominators:
+        m, e = math.frexp(value)
+        mantissa, exponent = mantissa / m, exponent - e
+    try:
+        return math.ldexp(mantissa, exponent)
+    except OverflowError:
+        return math.inf
 
 
 def _plain_sum(values):
@@ -225,8 +261,11 @@ class GammaMixture:
         return self.gamma_shape * self.thetas[i] / self.gamma_rate
 
     def marginal_variance(self, i: int) -> float:
-        theta = self.thetas[i]
-        return self.gamma_shape * theta * (self.gamma_rate + theta) / self.gamma_rate**2
+        shape, rate, theta = self.gamma_shape, self.gamma_rate, self.thetas[i]
+        if (_BOX_LO <= shape <= _BOX_HI and _BOX_LO <= rate <= _BOX_HI
+                and _BOX_LO <= theta <= _BOX_HI):
+            return shape * theta * (rate + theta) / rate**2
+        return _product([shape, theta, rate + theta], [rate, rate])
 
     def marginal_means(self) -> np.ndarray:
         return self.gamma_shape * np.asarray(self.thetas) / self.gamma_rate

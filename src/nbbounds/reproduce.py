@@ -19,7 +19,6 @@ from ._version import __version__
 from .bounds import (
     control_limit,
     dependent_kolmogorov_bound,
-    invert_bound,
     kolmogorov_independent_bound,
 )
 from .errors import DomainError

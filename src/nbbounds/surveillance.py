@@ -103,14 +103,17 @@ class EpiScenario:
 
     def cumulative_variance(self, j: int) -> float:
         r = self.regions[j]
-        return self.weeks * (r.weekly_mu + r.kappa * r.weekly_mu**2)
+        return self.weeks * NB2Params(r.weekly_mu, r.kappa).variance()
 
     def total_expected(self) -> float:
         return self.weeks * _plain_sum(r.weekly_mu for r in self.regions)
 
     def tweedie_variance(self) -> float:
         """Cumulative-horizon total variance V."""
-        return _plain_sum(self.cumulative_variance(j) for j in range(len(self.regions)))
+        total = _plain_sum(self.cumulative_variance(j) for j in range(len(self.regions)))
+        if not total < math.inf:
+            raise DomainError("float-range", "the total variance is outside the floating-point range")
+        return total
 
 
 def reference_scenario() -> EpiScenario:

@@ -2,9 +2,15 @@
 
 Everything here deliberately avoids the package's own computational paths:
 PMFs come from scipy, mixture marginals from numerical quadrature, Monte
-Carlo cross-checks from numpy's native samplers, and bound inversion from
-the plain bisection that ``invert_bound`` must reproduce float for float.
+Carlo cross-checks from numpy's native samplers, bound inversion from the
+plain bisection that ``invert_bound`` must reproduce float for float, and
+the closed-form bounds, variances and control limit from exact rational
+arithmetic.
 """
+
+import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 from scipy import integrate, stats
@@ -97,3 +103,64 @@ def reference_invert_bound(bound, alpha_level: float) -> float:
         else:
             lo = mid
     return hi
+
+
+# -- exact references for the closed forms ------------------------------------
+# Every float input is read exactly as a Fraction; nothing is rounded before
+# the end. The mixture bounds take Theta_n and M as the model's own float
+# totals, as the bounds do.
+
+
+def exact_nb_variance(q) -> Fraction:
+    """``r (1 - p) / p**2`` of an ``NBParams``."""
+    p = Fraction(q.p)
+    return Fraction(q.r) * (1 - p) / (p * p)
+
+
+def exact_nb2_variance(q) -> Fraction:
+    """``mu + kappa * mu**2`` of an ``NB2Params``."""
+    mu = Fraction(q.mu)
+    return mu + Fraction(q.kappa) * mu * mu
+
+
+def exact_marginal_variance(model, i: int) -> Fraction:
+    """``shape * theta * (rate + theta) / rate**2`` of a ``GammaMixture`` component."""
+    shape, rate = Fraction(model.gamma_shape), Fraction(model.gamma_rate)
+    theta = Fraction(model.thetas[i])
+    return shape * theta * (rate + theta) / (rate * rate)
+
+
+def exact_kolmogorov_independent(params, lam: float) -> Fraction:
+    """``sum(r_i (1 - p_i) / p_i**2) / lam**2``."""
+    return sum(exact_nb_variance(q) for q in params) / Fraction(lam) ** 2
+
+
+def exact_dependent_kolmogorov(model, lam: float) -> tuple[Fraction, Fraction]:
+    """``(4 shape Theta_n / (rate lam**2), 4 M**2 shape / (rate**2 lam**2))``."""
+    shape, rate, lam = Fraction(model.gamma_shape), Fraction(model.gamma_rate), Fraction(lam)
+    theta_n, m = Fraction(model.total_theta()), Fraction(model.max_prefix())
+    return 4 * shape * theta_n / (rate * lam**2), 4 * m**2 * shape / (rate**2 * lam**2)
+
+
+def exact_bernstein_exponents(model, lam: float) -> tuple[Fraction, Fraction]:
+    """The conditional exponent ``(lam**2/16) / (shape Theta_n/rate + lam/6)`` and
+    the mixing exponent ``min(lam**2 rate**2 / (32 M**2 shape), lam rate / (4 M))``."""
+    shape, rate, lam = Fraction(model.gamma_shape), Fraction(model.gamma_rate), Fraction(lam)
+    theta_n, m = Fraction(model.total_theta()), Fraction(model.max_prefix())
+    cond = (lam**2 / 16) / (shape * theta_n / rate + lam / 6)
+    mix = min(lam**2 * rate**2 / (32 * m**2 * shape), lam * rate / (4 * m))
+    return cond, mix
+
+
+def reference_bernstein_terms(model, lam: float) -> tuple[float, float]:
+    """``(2 exp(-cond), 2 exp(-mix))`` from the exact exponents, exp applied last
+    (an exponent past 1000 gives 0.0, as ``exp`` does)."""
+    cond, mix = exact_bernstein_exponents(model, lam)
+    return 2.0 * math.exp(-float(min(cond, 1000))), 2.0 * math.exp(-float(min(mix, 1000)))
+
+
+def reference_control_limit(v_n: float, alpha_level: float) -> Fraction:
+    """``sqrt(v_n / alpha_level)`` in ``decimal`` at 60 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return Fraction((Decimal(v_n) / Decimal(alpha_level)).sqrt())

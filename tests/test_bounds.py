@@ -279,7 +279,7 @@ class TestInvertBound:
         calls_d = len(calls) - calls_i
         assert lam_i == pytest.approx(72.49, abs=0.01)
         assert lam_d == pytest.approx(476.52, abs=0.01)
-        # 11 and 13 evaluations; the plain bisection takes 39 and 41
+        # 10 and 12 evaluations; the plain bisection takes 39 and 41
         assert calls_i <= 20
         assert calls_d <= 20
 
@@ -405,7 +405,7 @@ class TestFloatRange:
             lambda: dependent_kolmogorov_bound(GammaMixture(4, 4, [7, 5]), 1e-200),
             lambda: GammaMixture(4, 4, [1e308, 1e308]),
             lambda: tweedie_variance([NB2Params(1e300, 0.35)]),
-            lambda: control_limit(15645.0, 1e-320),
+            lambda: control_limit(1e300, 1e-320),  # about 1e310
             # the rescaled forms leave the float range too: the squared
             # ratio (about 1e320), both terms, the smallest positive lambda
             lambda: dependent_kolmogorov_bound(GammaMixture(4, 4, [1e160]), 1.0),
@@ -466,6 +466,14 @@ class TestFloatRange:
              4e-160, 4e-20),
             # lam**2 is subnormal, so dividing by it lost bits (2.00002e290)
             (lambda: kolmogorov_independent_bound([NBParams(1e-30, 0.5)], 1e-160), 2e290, 0.0),
+            # lam**2 is subnormal though beta**2 * lam**2 is not (4.0000445e120)
+            (lambda: dependent_kolmogorov_bound(GammaMixture(1, 1e100, [1]), 1e-160),
+             4e220, 4e120),
+            # alpha/beta is subnormal though 4*(alpha/beta)*Theta_n is not (3.99996e-60)
+            (lambda: dependent_kolmogorov_bound(GammaMixture(1e-200, 1e120, [1e200]), 1e-30),
+             4e-60, 4e20),
+            # p**2 is subnormal, so the variance lost bits (2.49879e-9)
+            (lambda: kolmogorov_independent_bound([NBParams(1e-30, 2e-161)], 1e150), 2.5e-9, 0.0),
         ],
     )
     def test_finite_bound_past_an_overflowing_product(self, evaluate, cond, mix):
@@ -490,6 +498,10 @@ class TestFloatRange:
         result = kolmogorov_independent_bound(params, 1e200)
         assert result.raw_value == raw
         assert result.bound_value == raw
+
+    def test_finite_control_limit_past_an_overflowing_quotient(self):
+        # 15645 / 1e-320 overflows, but its square root is about 1.25e162
+        assert control_limit(15645.0, 1e-320) == 1.2508067066843693e162
 
     def test_rescaled_mixing_term_keeps_its_value(self):
         # M**2 and lam**2 overflow: 4*shape*(M/(rate*lam))**2 = 16 * (2.5e-51)**2

@@ -241,6 +241,41 @@ class TestLimitCommand:
         assert_error_exit_1(proc, "invalid-parameter", "alpha_levels")
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize("command", ["limit", "monitor"])
+    def test_scenario_variance_out_of_float_range_exit_1(self, command, tmp_path):
+        # 12 * (1e200 + 0.3 * 1e400) overflows; weekly_mu**2 raised OverflowError
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"regions": [{"weekly_mu": 1e200, "kappa": 0.3}],
+                                    "weeks": 12, "alpha_levels": [0.05]}))
+        counts = tmp_path / "counts.csv"
+        counts.write_text("region_1\n1\n")
+        argv = ["--counts", str(counts)] if command == "monitor" else []
+        proc = run_cli(command, "--scenario", str(path), *argv)
+        assert_error_exit_1(proc, "float-range")
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize(
+        "argv, v_n, limit",
+        [
+            # 12 * (1e200 + 1e-250 * 1e400): kappa * weekly_mu**2 is formed apart
+            (["--scenario", "TINY_KAPPA"], 1.2e201, 1.5491933384829668e101),
+            (["--params", "1e200:1e-250"], 1e200, 4.47213595499958e100),
+            # v_n / alpha overflows, its square root does not
+            (["--params", "1e150:0.5", "--alpha", "1e-10"], 4.9999999999999995e299,
+             7.071067811865475e154),
+        ],
+        ids=lambda value: " ".join(value) if isinstance(value, list) else repr(value),
+    )
+    def test_limit_past_an_out_of_box_input_exit_0(self, argv, v_n, limit, tmp_path):
+        path = tmp_path / "tiny_kappa.json"
+        path.write_text(json.dumps({"regions": [{"weekly_mu": 1e200, "kappa": 1e-250}],
+                                    "weeks": 12, "alpha_levels": [0.05]}))
+        proc = run_cli("limit", *[str(path) if arg == "TINY_KAPPA" else arg for arg in argv])
+        assert proc.returncode == 0, proc.stderr
+        record = json.loads(proc.stdout)
+        assert record["v_n"] == v_n
+        assert record["limits"][0]["lambda"] == pytest.approx(limit, rel=2e-15, abs=0)
+
     def test_invalid_json_exit_1(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -483,7 +518,7 @@ class TestRuntimeImports:
         ["limit", "--params", "210:0.35,340:0.25", "--alpha", "1.5"],
         ["bound", "kolmogorov-indep", "--params", "3:0.3", "--lambda", "1e-200"],
         ["limit", "--params", "210:0.35", "--alpha", ","],
-        ["limit", "--params", "210:0.35", "--alpha", "1e-320"],
+        ["limit", "--params", "1e150:1", "--alpha", "1e-320"],  # about 1e310
         ["limit", "--params", "1e300:0.35", "--alpha", "0.05"],
     ]
 

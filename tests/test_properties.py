@@ -6,10 +6,12 @@ import json
 import math
 import random
 import struct
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nbbounds import (
@@ -17,11 +19,13 @@ from nbbounds import (
     DomainError,
     EpiScenario,
     GammaMixture,
+    NB2Params,
     NBParams,
     OptimizerDiagnostics,
     Region,
     bernstein_dependent_bound,
     chernoff_mean_deviation_bound,
+    control_limit,
     dependent_kolmogorov_bound,
     exact_max_deviation_tail_oracle,
     invert_bound,
@@ -31,11 +35,22 @@ from nbbounds import (
     monitor_step,
     nb_log_mgf,
     start_monitoring,
+    tweedie_variance,
 )
 from nbbounds import distributions
 from nbbounds.bounds import _golden_section_minimize
 
-from helpers import reference_invert_bound
+from helpers import (
+    exact_bernstein_exponents,
+    exact_dependent_kolmogorov,
+    exact_kolmogorov_independent,
+    exact_marginal_variance,
+    exact_nb2_variance,
+    exact_nb_variance,
+    reference_bernstein_terms,
+    reference_control_limit,
+    reference_invert_bound,
+)
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -482,3 +497,89 @@ def test_load_counts_rejects_non_finite_cells(rows, bad, data):
     text = "\n".join([",".join(ids)] + [",".join(r) for r in cells]) + "\n"
     with pytest.raises(DomainError, match=f"non-finite count at line {row + 2}"):
         load_counts(io.StringIO(text), scenario)
+
+
+# -- the closed forms against exact arithmetic --------------------------------
+
+_MAX_FLOAT = Fraction(sys.float_info.max)
+_EDGE = _MAX_FLOAT / 10**14  # where a few roundings decide between inf and a float
+_RELATIVE = Fraction(2, 10**15)
+_SUBNORMAL_STEPS = 4 * Fraction(math.ulp(0.0))  # 4 x 5e-324
+
+
+def _positive_real(rng: random.Random) -> float:
+    """Log-uniform on 1e-300..1e300, or one time in 20 on the subnormals."""
+    if rng.random() < 0.05:
+        return 10.0 ** rng.uniform(-323.3, -307.7)
+    return 10.0 ** rng.uniform(-300.0, 300.0)
+
+
+def _unit_real(rng: random.Random) -> float:
+    """In (0, 1): log-uniform from 5e-324 up, or 1 minus a log-uniform 1e-16..1."""
+    while True:
+        x = 10.0 ** rng.uniform(-323.3, 0.0) if rng.random() < 0.5 else (
+            1.0 - 10.0 ** rng.uniform(-16.0, 0.0))
+        if 0.0 < x < 1.0:
+            return x
+
+
+def _assert_float_rule(value: float, exact: Fraction) -> None:
+    """``value`` is inf exactly when ``exact`` is past the largest float, and
+    otherwise within 2e-15 relative or 4 x 5e-324 absolute of it."""
+    assume(not abs(exact - _MAX_FLOAT) <= _EDGE)
+    if exact > _MAX_FLOAT:
+        assert value == math.inf, (value, float(exact / _MAX_FLOAT))
+    else:
+        assert abs(Fraction(value) - exact) <= max(exact * _RELATIVE, _SUBNORMAL_STEPS), (
+            value, float(exact))
+
+
+def _value_or_inf(evaluate) -> float:
+    """``evaluate()``, or inf where it raises ``float-range``."""
+    try:
+        return evaluate()
+    except DomainError as error:
+        assert error.code == "float-range"
+        return math.inf
+
+
+# 2,000 examples of about 20 closed-form values each
+@settings(max_examples=2000, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1))
+def test_closed_forms_match_exact_arithmetic(seed):
+    rng = random.Random(seed)
+    nb = [NBParams(_positive_real(rng), _unit_real(rng)) for _ in range(rng.randint(1, 3))]
+    mu, kappa, shape, rate, lam = (_positive_real(rng) for _ in range(5))
+    thetas = [_positive_real(rng) for _ in range(rng.randint(1, 4))]
+    alpha = _unit_real(rng)
+    for q in nb:
+        _assert_float_rule(q.variance(), exact_nb_variance(q))
+    _assert_float_rule(_value_or_inf(lambda: kolmogorov_independent_bound(nb, lam).raw_value),
+                       exact_kolmogorov_independent(nb, lam))
+
+    q2 = NB2Params(mu, kappa)
+    _assert_float_rule(q2.variance(), exact_nb2_variance(q2))
+    v_n = _value_or_inf(lambda: tweedie_variance([q2]))
+    _assert_float_rule(v_n, exact_nb2_variance(q2))
+    if v_n < math.inf:
+        _assert_float_rule(_value_or_inf(lambda: control_limit(v_n, alpha)),
+                           reference_control_limit(v_n, alpha))
+
+    model = GammaMixture(shape, rate, thetas)
+    for i in range(model.n):
+        _assert_float_rule(model.marginal_variance(i), exact_marginal_variance(model, i))
+    cond, mix = exact_dependent_kolmogorov(model, lam)
+    raw = _value_or_inf(lambda: dependent_kolmogorov_bound(model, lam).raw_value)
+    _assert_float_rule(raw, cond + mix)
+    if raw < math.inf:
+        cond_term, mix_term = dependent_kolmogorov_bound(model, lam).components
+        _assert_float_rule(cond_term, cond)
+        _assert_float_rule(mix_term, mix)
+
+    result = bernstein_dependent_bound(model, lam)
+    terms = reference_bernstein_terms(model, lam)
+    for ours, reference, exponent in zip(result.components, terms,
+                                         exact_bernstein_exponents(model, lam)):
+        tolerance = 4e-15 * (1.0 + float(min(exponent, 1000))) * reference
+        assert abs(ours - reference) <= max(tolerance, 4 * math.ulp(0.0)), (ours, reference)
+    assert result.raw_value == sum(result.components)
