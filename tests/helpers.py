@@ -3,9 +3,9 @@
 Everything here deliberately avoids the package's own computational paths:
 PMFs come from scipy, mixture marginals from numerical quadrature, Monte
 Carlo cross-checks from numpy's native samplers, bound inversion from the
-plain bisection that ``invert_bound`` must reproduce float for float, and
-the closed-form bounds, variances and control limit from exact rational
-arithmetic.
+plain bisection that ``invert_bound`` must reproduce float for float, the
+exact oracle's barrier step from boolean masks, and the closed-form bounds,
+variances and control limit from exact rational arithmetic.
 """
 
 import math
@@ -103,6 +103,33 @@ def reference_invert_bound(bound, alpha_level: float) -> float:
         else:
             lo = mid
     return hi
+
+
+def reference_exact_walk(marginals, means, lam: float):
+    """The exact oracle's absorbing-barrier walk with a boolean-mask barrier.
+
+    ``marginals`` are the truncated PMFs and ``means`` the means of the
+    variables in order. After each convolution, every entry ``k`` with
+    ``|k - running mean| >= lam`` moves to the exceeded mass. Returns
+    ``(surviving, exceeded, total_mean)``.
+    """
+    surviving = np.array([1.0])
+    exceeded = 0.0
+    total_mean = 0.0
+    for pmf, mean in zip(marginals, means):
+        total_mean += mean
+        surviving = np.convolve(surviving, pmf)
+        hit = np.abs(np.arange(len(surviving)) - total_mean) >= lam
+        exceeded += surviving[hit].sum()
+        surviving = np.where(hit, 0.0, surviving)
+    return surviving, exceeded, total_mean
+
+
+def reference_mean_tail(marginals, means, a: float) -> float:
+    """``P(mean - E[mean] >= a)`` from the walk without a barrier, by a mask."""
+    total, _, total_mean = reference_exact_walk(marginals, means, math.inf)
+    threshold = total_mean + len(marginals) * a
+    return float(total[np.arange(len(total)) >= threshold].sum())
 
 
 # -- exact references for the closed forms ------------------------------------

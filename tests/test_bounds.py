@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from nbbounds import (
+    BoundResult,
     DomainError,
     GammaMixture,
     NB2Params,
@@ -23,7 +25,12 @@ from nbbounds import (
 )
 from nbbounds import bounds as bounds_module
 
-from helpers import mc_max_deviation_tail, scipy_truncated_nb_pmf
+from helpers import (
+    mc_max_deviation_tail,
+    reference_exact_walk,
+    reference_mean_tail,
+    scipy_truncated_nb_pmf,
+)
 
 
 @pytest.fixture(scope="module")
@@ -279,9 +286,26 @@ class TestInvertBound:
         calls_d = len(calls) - calls_i
         assert lam_i == pytest.approx(72.49, abs=0.01)
         assert lam_d == pytest.approx(476.52, abs=0.01)
-        # 10 and 12 evaluations; the plain bisection takes 39 and 41
-        assert calls_i <= 20
-        assert calls_d <= 20
+        # 8 and 9 evaluations; the plain bisection takes 39 and 41
+        assert calls_i <= 12
+        assert calls_d <= 12
+
+    @pytest.mark.parametrize("bound, model", [
+        (kolmogorov_independent_bound, "independent"),
+        (dependent_kolmogorov_bound, "mixture"),
+    ])
+    def test_paper_design_at_a_small_level(self, design, bound, model):
+        # 8 evaluations each: the bracket's power of two comes from a binary
+        # search over 2**1..2**39, not a walk up from 1 (21 and 24 here)
+        calls = []
+
+        def value(lam):
+            calls.append(lam)
+            return bound(getattr(design, model), lam).bound_value
+
+        lam = invert_bound(value, 1e-8)
+        assert len(calls) <= 10
+        assert value(lam) <= 1e-8 < value(lam * (1.0 - 1e-9))
 
     def test_uninvertible(self):
         with pytest.raises(DomainError, match="uninvertible"):
@@ -330,6 +354,45 @@ class TestExactTailOracle:
         monkeypatch.setattr(bounds_module, "_ORACLE_MAX_STATES", 1000)
         with pytest.raises(DomainError, match="oracle-infeasible"):
             exact_mean_deviation_tail([NBParams(1.0, 0.01)], 1.0)
+
+    def test_tiny_shape_support(self):
+        # r - 1 rounds to -1, so log1p((r-1)/1) would be -inf; the support is
+        # 0..1 with P(X = 1) = r (1-p) p**r
+        assert exact_max_deviation_tail_oracle([NBParams(1e-300, 0.5)], 1.0).value == (
+            pytest.approx(5e-301, rel=1e-14))
+
+    def test_support_without_a_certifiable_end_rejected(self):
+        # 1 - p rounds to 1, so the geometric tail bound never falls below 1
+        # and the scan would go to the budget of 10**7 states
+        with pytest.raises(DomainError, match="oracle-infeasible.*1 - p = 1.0"):
+            exact_max_deviation_tail_oracle([NBParams(1e-300, 1e-305)], 1.0)
+
+    def test_barrier_step_matches_the_mask_reference(self):
+        # lam puts mean +- lam on an integer or a half-integer for one of the
+        # running means, where the float test decides ties, or is random
+        rng = np.random.default_rng(41)
+        for instance in range(600):
+            params = _random_nb_set(rng, n_max=4)
+            marginals = [bounds_module._truncated_pmf(q) for q in params]
+            means = [q.mean() for q in params]
+            running = float(np.cumsum(means)[rng.integers(len(means))])
+            kind = instance % 4
+            if kind == 0:
+                lam = float(np.floor(running) + rng.integers(1, 20)) - running
+            elif kind == 1:
+                lam = running - float(np.floor(running) - rng.integers(0, 4))
+            elif kind == 2:
+                lam = float(np.floor(running) + rng.integers(0, 20)) + 0.5 - running
+            else:
+                lam = float(rng.uniform(0.05, 20.0))
+            lam = abs(lam) or 0.5
+            surviving, exceeded, total_mean = bounds_module._exact_walk(params, lam)
+            ref_surviving, ref_exceeded, ref_mean = reference_exact_walk(marginals, means, lam)
+            assert surviving.tobytes() == ref_surviving.tobytes(), (params, lam)
+            assert (exceeded, total_mean) == (ref_exceeded, ref_mean), (params, lam)
+            a = float(rng.uniform(0.1, 5.0))
+            assert exact_mean_deviation_tail(params, a).value == reference_mean_tail(
+                marginals, means, a)
 
     def test_paper_design_at_its_threshold(self, design):
         # 20 marginals: their support sizes multiply to about 1.9e7, but the
@@ -393,6 +456,25 @@ class TestClamping:
                 assert 0.0 <= value <= 1.0
 
 
+class TestBoundResult:
+    def test_built_result_behaves_like_the_constructor(self):
+        optimizer = bounds_module.OptimizerDiagnostics(0.25, 48, True)
+        for args, expected in [
+            ((3, 2), BoundResult(3.0, 1.0, 2.0)),
+            ((0.5, 0.125, (0.1, 0.025)), BoundResult(0.5, 0.125, 0.125, (0.1, 0.025))),
+            ((2.0, 0.5, None, optimizer), BoundResult(2.0, 0.5, 0.5, None, optimizer)),
+        ]:
+            result = bounds_module._clamped(*args)
+            assert type(result) is BoundResult
+            assert result == expected and hash(result) == hash(expected)
+            assert repr(result) == repr(expected)
+            assert type(result.threshold) is float and type(result.raw_value) is float
+            assert dataclasses.replace(result, threshold=9.0) == dataclasses.replace(
+                expected, threshold=9.0)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                result.bound_value = 0.0
+
+
 class TestFloatRange:
     """A bound whose arithmetic leaves the float range raises, never returns inf."""
 
@@ -411,6 +493,8 @@ class TestFloatRange:
             lambda: dependent_kolmogorov_bound(GammaMixture(4, 4, [1e160]), 1.0),
             lambda: dependent_kolmogorov_bound(GammaMixture(4, 1e-200, [7]), 1e-200),
             lambda: kolmogorov_independent_bound([NBParams(3, 0.3)], 5e-324),
+            # the total mean r(1-p)/p is about 1e310
+            lambda: chernoff_mean_deviation_bound([NBParams(1e300, 1e-10)], 1.0),
         ],
     )
     def test_raises_float_range(self, evaluate):

@@ -520,6 +520,7 @@ class TestRuntimeImports:
         ["limit", "--params", "210:0.35", "--alpha", ","],
         ["limit", "--params", "1e150:1", "--alpha", "1e-320"],  # about 1e310
         ["limit", "--params", "1e300:0.35", "--alpha", "0.05"],
+        ["bound", "chernoff", "--params", "1e300:1e-10", "--a", "1"],  # total mean about 1e310
     ]
 
     @staticmethod

@@ -197,6 +197,22 @@ def test_invert_bound_equals_plain_bisection_on_a_flat_wobbling_bound():
         assert ours == reference_invert_bound(_flat_wobbling_bound, alpha), alpha
 
 
+def test_flat_wobbling_bound_inverts_in_no_more_evaluations():
+    # the levels of the test above; with its bracket found by doubling from
+    # 1, the inversion took 164,182 evaluations in all (32.84 per inversion)
+    calls = 0
+
+    def counted(lam):
+        nonlocal calls
+        calls += 1
+        return _flat_wobbling_bound(lam)
+
+    rng = random.Random(0)
+    for _ in range(5000):
+        invert_bound(counted, rng.uniform(0.4996, 0.49999))
+    assert calls <= 164_182
+
+
 def test_invert_bound_equals_plain_bisection_below_the_halving_floor():
     # the crossing, 2e-310, lies below 1e-300, where the halving loop stops
     # without evaluating its last point
@@ -219,6 +235,18 @@ def test_invert_bound_raises_as_plain_bisection(bound, alpha):
     ours = _inversion_outcome(invert_bound, bound, alpha)
     assert isinstance(ours, tuple)
     assert ours == _inversion_outcome(reference_invert_bound, bound, alpha)
+
+
+@pytest.mark.parametrize("crossing", [5e11, 6e11])
+def test_invert_bound_last_bracket_as_plain_bisection(crossing):
+    # 2**38 < 5e11 < 2**39 < 6e11 < 1e12: 2**39 is the last power of two
+    # evaluated, so the first crossing inverts and the second is uninvertible
+    def bound(lam):
+        return min(1.0, 0.01 * (crossing / lam) ** 2)
+
+    ours = _inversion_outcome(invert_bound, bound, 0.01)
+    assert isinstance(ours, float) == (crossing < 2.0**39)
+    assert ours == _inversion_outcome(reference_invert_bound, bound, 0.01)
 
 
 # small enough for the exact oracle's joint support budget
