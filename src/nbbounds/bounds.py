@@ -453,8 +453,10 @@ class OracleTail:
     """Exact tail value with its truncation error budget.
 
     The true probability lies in ``[value, value + truncation_error]``;
-    the error is the joint mass discarded by truncating each marginal at
-    tail mass 1e-12.
+    the error bounds the joint mass discarded by truncating each marginal at
+    tail mass 1e-12: it is the larger of ``1 - (mass kept)`` in floats and
+    the sum of the marginals' certified discarded tails, so a discarded mass
+    below the float resolution of 1 still counts.
     """
 
     value: float
@@ -467,7 +469,7 @@ def _oracle_infeasible(detail: str) -> DomainError:
     )
 
 
-def _truncated_pmf(q: NBParams) -> np.ndarray:
+def _truncated_pmf(q: NBParams, tails: list[float] | None = None) -> np.ndarray:
     """PMF of NB(r, p) on ``0..K`` with ``K = min{k : P(X > k) <= 1e-12} + 1``.
 
     The log pmf follows the recurrence ``log f(0) = r log p``,
@@ -480,6 +482,8 @@ def _truncated_pmf(q: NBParams) -> np.ndarray:
     in k when ``r >= 1`` and increases towards ``1-p`` when ``r < 1``), so
     ``P(X >= N) <= f(N) / (1 - rho)`` once ``rho < 1``. The scan starts at
     ``mean + 10 sd + 40/p`` and doubles until that bound is small enough.
+    A ``tails`` list receives the certified discarded mass ``P(X > K)``: the
+    scanned ``f(K+1) + ... + f(N)`` plus that bound on ``P(X >= N)``.
     """
     mean, sd = q.mean(), math.sqrt(q.variance())
     if not mean - sd <= _ORACLE_MAX_STATES:
@@ -521,10 +525,15 @@ def _truncated_pmf(q: NBParams) -> np.ndarray:
     pmf = np.exp(log_pmf, out=log_pmf)
     at_least = np.cumsum(pmf[::-1])[::-1]  # at_least[k] = P(X >= k) = P(X > k-1)
     k_max = int(np.argmax(at_least <= _ORACLE_TAIL_MASS))
+    if tails is not None:
+        scanned = float(at_least[k_max + 1]) if k_max + 1 < n else 0.0
+        tails.append(scanned + float(pmf[-1]) / (1.0 - rho))
     return pmf[: k_max + 1]
 
 
-def _exact_walk(params: list[NBParams], lam: float) -> tuple[np.ndarray, float, float]:
+def _exact_walk(
+    params: list[NBParams], lam: float, tails: list[float] | None = None
+) -> tuple[np.ndarray, float, float]:
     """Absorbing-barrier walk over the integer partial sums ``S_1, S_2, ...``.
 
     Each variable's truncated marginal is convolved into the surviving mass,
@@ -534,14 +543,15 @@ def _exact_walk(params: list[NBParams], lam: float) -> tuple[np.ndarray, float, 
     The budget counts what the walk computes: the sum over variables of
     ``len(partial sum pmf) * len(marginal pmf)``, plus the length of the
     final partial-sum pmf; it is checked before each convolution. Returns
-    ``(surviving, exceeded, total_mean)``.
+    ``(surviving, exceeded, total_mean)``; a ``tails`` list receives each
+    marginal's certified discarded tail.
     """
     surviving = np.array([1.0])  # mass by integer partial sum, not yet exceeded
     exceeded = 0.0
     total_mean = 0.0
     work = 0
     for q in params:
-        pmf = _truncated_pmf(q)
+        pmf = _truncated_pmf(q, tails)
         work += len(surviving) * len(pmf)
         span = len(surviving) + len(pmf) - 1  # length of the partial-sum pmf after it
         if work + span > _ORACLE_MAX_STATES:
@@ -595,9 +605,10 @@ def exact_max_deviation_tail_oracle(params: Sequence[NBParams], lam: float) -> O
     if not params:
         raise DomainError("invalid-parameter", "params must be a nonempty sequence")
     _require_positive("lambda", lam)
-    surviving, exceeded, _ = _exact_walk(params, lam)
-    truncation_error = 1.0 - (exceeded + surviving.sum())
-    return OracleTail(value=float(exceeded), truncation_error=float(max(truncation_error, 0.0)))
+    tails: list[float] = []
+    surviving, exceeded, _ = _exact_walk(params, lam, tails)
+    residual = 1.0 - (exceeded + surviving.sum())
+    return OracleTail(float(exceeded), _truncation_error(residual, tails))
 
 
 def exact_mean_deviation_tail(params: Sequence[NBParams], a: float) -> OracleTail:
@@ -606,9 +617,16 @@ def exact_mean_deviation_tail(params: Sequence[NBParams], a: float) -> OracleTai
     if not params:
         raise DomainError("invalid-parameter", "params must be a nonempty sequence")
     _require_positive("a", a)
-    total, _, total_mean = _exact_walk(params, math.inf)
+    tails: list[float] = []
+    total, _, total_mean = _exact_walk(params, math.inf, tails)
     threshold = total_mean + len(params) * a
     # the integer sums k >= threshold: a suffix (none if threshold is inf)
     start = math.ceil(threshold) if threshold < len(total) else len(total)
     value = total[start:].sum()
-    return OracleTail(value=float(value), truncation_error=float(max(1.0 - total.sum(), 0.0)))
+    return OracleTail(float(value), _truncation_error(1.0 - total.sum(), tails))
+
+
+def _truncation_error(residual: float, tails: list[float]) -> float:
+    """The larger of the float residual ``1 - kept mass`` and the summed
+    certified tails; each alone can miss what the other sees."""
+    return float(max(residual, math.fsum(tails)))

@@ -17,12 +17,11 @@ the ``NBBOUNDS_OUT`` environment variable.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import os
 import sys
 
 from ._lazy import np
+from ._text import open_output, read_text, write_json, write_rows, writing_to
 from ._version import __version__
 from .bounds import (
     BoundResult,
@@ -76,10 +75,6 @@ def _parse_pair_list(text: str, what: str) -> list[tuple[float, float]]:
     return pairs
 
 
-def _parse_nb_params(text: str) -> list[NBParams]:
-    return [NBParams(r, p) for r, p in _parse_pair_list(text, "r:p")]
-
-
 def _parse_nb2_params(text: str) -> list[NB2Params]:
     return [NB2Params(mu, kappa) for mu, kappa in _parse_pair_list(text, "mu:kappa")]
 
@@ -91,13 +86,7 @@ def _parse_thetas(text: str) -> list[float]:
         return [q.mean() for q in build_moment_matched_design().independent]
     if text.startswith("@"):
         path = text[1:]
-        try:
-            with open(path, encoding="utf-8") as fh:
-                lines = fh.readlines()
-        except OSError as exc:
-            raise DomainError("invalid-parameter", f"cannot read thetas file {path}: {exc}") from exc
-        except UnicodeDecodeError as exc:
-            raise DomainError("invalid-parameter", f"thetas file {path} is not UTF-8: {exc}") from None
+        lines = read_text(path, f"thetas file {path}").split("\n")
         thetas = []
         for line_number, line in enumerate(lines, start=1):
             if not line.strip():
@@ -110,17 +99,19 @@ def _parse_thetas(text: str) -> list[float]:
                     f"cannot parse thetas file {path} at line {line_number}: {line.strip()!r}",
                 ) from None
         return thetas
+    return _parse_floats(text, "thetas")
+
+
+def _parse_floats(text: str, what: str) -> list[float]:
+    """Comma-separated floats; empty entries are skipped."""
     try:
         return [float(chunk) for chunk in text.split(",") if chunk.strip()]
     except ValueError:
-        raise DomainError("invalid-parameter", f"cannot parse thetas {text!r}") from None
+        raise DomainError("invalid-parameter", f"cannot parse {what} {text!r}") from None
 
 
 def _parse_alphas(text: str) -> list[float]:
-    try:
-        alphas = [float(chunk) for chunk in text.split(",") if chunk.strip()]
-    except ValueError:
-        raise DomainError("invalid-parameter", f"cannot parse alpha list {text!r}") from None
+    alphas = _parse_floats(text, "alpha list")
     if not alphas:
         raise DomainError("invalid-parameter", f"alpha list {text!r} is empty")
     return alphas
@@ -154,37 +145,31 @@ def _flatten(record: dict, prefix: str = "") -> dict:
     return flat
 
 
-def _delimited_cell(value):
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return value
+def _nb_params(args) -> list[NBParams]:
+    return [NBParams(r, p) for r, p in _parse_pair_list(args.params, "r:p")]
 
 
-def _emit(record: dict, fmt: str, sink) -> None:
-    if fmt == "object":
-        json.dump(record, sink, indent=2, sort_keys=True)
-        sink.write("\n")
-        return
-    flat = _flatten(record)
-    writer = csv.writer(sink, lineterminator="\n")
-    writer.writerow(list(flat))
-    writer.writerow([_delimited_cell(v) for v in flat.values()])
+def _mixture(args) -> GammaMixture:
+    return GammaMixture(args.shape, args.rate, _parse_thetas(args.thetas))
+
+
+# bound kind -> (required arguments, the last one the level; bound function; model builder)
+_BOUND_KINDS = {
+    "chernoff": (("params", "a"), chernoff_mean_deviation_bound, _nb_params),
+    "kolmogorov-indep": (("params", "lam"), kolmogorov_independent_bound, _nb_params),
+    "kolmogorov-dep": (("shape", "rate", "thetas", "lam"), dependent_kolmogorov_bound, _mixture),
+    "bernstein": (("shape", "rate", "thetas", "lam"), bernstein_dependent_bound, _mixture),
+}
 
 
 def _cmd_bound(args) -> int:
-    if args.kind == "chernoff":
-        result = chernoff_mean_deviation_bound(_parse_nb_params(args.params), args.a)
-    elif args.kind == "kolmogorov-indep":
-        result = kolmogorov_independent_bound(_parse_nb_params(args.params), args.lam)
+    required, bound, model = _BOUND_KINDS[args.kind]
+    record = _bound_as_record(bound(model(args), getattr(args, required[-1])))
+    if args.format == "object":
+        write_json(sys.stdout, record)
     else:
-        model = GammaMixture(args.shape, args.rate, _parse_thetas(args.thetas))
-        if args.kind == "kolmogorov-dep":
-            result = dependent_kolmogorov_bound(model, args.lam)
-        else:
-            result = bernstein_dependent_bound(model, args.lam)
-    _emit(_bound_as_record(result), args.format, sys.stdout)
+        flat = _flatten(record)
+        write_rows(sys.stdout, list(flat), [flat.values()])
     return EXIT_OK
 
 
@@ -201,17 +186,11 @@ def _cmd_limit(args) -> int:
         v_n = tweedie_variance(params)
         alphas = _parse_alphas(args.alpha) if args.alpha else [0.05]
         limits = [(a, control_limit(v_n, a)) for a in alphas]
-    record = {
-        "v_n": v_n,
-        "limits": [{"alpha": a, "lambda": lam} for a, lam in limits],
-    }
     if args.format == "delimited":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["v_n", "alpha", "lambda"])
-        for a, lam in limits:
-            writer.writerow([repr(float(v_n)), repr(float(a)), repr(float(lam))])
+        write_rows(sys.stdout, ["v_n", "alpha", "lambda"], [(v_n, a, lam) for a, lam in limits])
     else:
-        _emit(record, "object", sys.stdout)
+        rows = [{"alpha": a, "lambda": lam} for a, lam in limits]
+        write_json(sys.stdout, {"v_n": v_n, "limits": rows})
     return EXIT_OK
 
 
@@ -228,12 +207,7 @@ def _cmd_reproduce(args) -> int:
         epi_replications=epi_reps,
     )
     out_dir = args.out or os.environ.get(OUT_ENV_VAR) or "."
-    try:
-        written = write_report(report, out_dir)
-    except OSError as exc:
-        print(f"error: cannot write to {out_dir}: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN_ERROR
-    for path in written:
+    for path in write_report(report, out_dir):
         print(path)
     return EXIT_OK
 
@@ -253,12 +227,8 @@ def _cmd_monitor(args) -> int:
     for row in counts:
         state = monitor_step(state, row, fitted_mu)
     if args.out:
-        try:
-            with open(args.out, "w", newline="", encoding="utf-8") as fh:
-                write_history(state, fh)
-        except OSError as exc:
-            print(f"error: cannot write to {args.out}: {exc}", file=sys.stderr)
-            return EXIT_DOMAIN_ERROR
+        with writing_to(args.out), open_output(args.out) as fh:
+            write_history(state, fh)
     else:
         write_history(state, sys.stdout)
     return EXIT_ALARM if state.any_alarm() else EXIT_OK
@@ -273,9 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     bound = sub.add_parser("bound", help="evaluate a tail bound")
-    bound.add_argument(
-        "kind", choices=["chernoff", "kolmogorov-indep", "kolmogorov-dep", "bernstein"]
-    )
+    bound.add_argument("kind", choices=list(_BOUND_KINDS))
     bound.add_argument("--params", help="NB parameters as 'r:p,r:p,...'")
     bound.add_argument("--a", type=float, help="mean-deviation level (chernoff)")
     bound.add_argument("--lambda", dest="lam", type=float, help="deviation threshold")
@@ -324,15 +292,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _validate_bound_args(parser: argparse.ArgumentParser, args) -> None:
     if args.command != "bound":
         return
-    if args.kind == "chernoff":
-        if args.params is None or args.a is None:
-            parser.error("bound chernoff requires --params and --a")
-    elif args.kind == "kolmogorov-indep":
-        if args.params is None or args.lam is None:
-            parser.error("bound kolmogorov-indep requires --params and --lambda")
-    else:
-        if args.shape is None or args.rate is None or args.thetas is None or args.lam is None:
-            parser.error(f"bound {args.kind} requires --shape, --rate, --thetas and --lambda")
+    required, _, _ = _BOUND_KINDS[args.kind]
+    if any(getattr(args, name) is None for name in required):
+        flags = ["--lambda" if name == "lam" else f"--{name}" for name in required]
+        parser.error(f"bound {args.kind} requires {', '.join(flags[:-1])} and {flags[-1]}")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -8,13 +8,12 @@ version so any output file can be regenerated bit for bit.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import os
 from dataclasses import dataclass, field
 
 from ._lazy import np
+from ._text import open_output, write_json, write_rows, writing_to
 from ._version import __version__
 from .bounds import (
     control_limit,
@@ -282,53 +281,29 @@ def build_report(
     return report
 
 
-def _json_ready(value):
-    if isinstance(value, dict):
-        return {k: _json_ready(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_ready(v) for v in value]
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, float) and value != value:  # NaN has no JSON literal
-        return None
-    return value
-
-
 def write_report(report: ReproductionReport, out_dir: str) -> list[str]:
     """Write report.json plus one CSV per figure series; returns the paths.
 
     Output is byte-deterministic for a fixed report: keys are sorted, no
     timestamps are embedded, and floats are serialized by shortest
-    round-trip representation.
+    round-trip representation. A directory or file that cannot be written
+    raises an ``invalid-parameter`` error naming ``out_dir``.
     """
-    os.makedirs(out_dir, exist_ok=True)
-    written = []
     doc = {
-        "environment": _json_ready(report.environment),
-        "table2": _json_ready(report.table2),
-        "moment_match": _json_ready(report.moment_match),
-        "epi": _json_ready(report.epi),
+        "environment": report.environment,
+        "table2": report.table2,
+        "moment_match": report.moment_match,
+        "epi": report.epi,
         "figure_files": {fig: f"{fig}.csv" for fig in sorted(report.figure_series)},
     }
     report_path = os.path.join(out_dir, "report.json")
-    with open(report_path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    written.append(report_path)
-    for fig in sorted(report.figure_series):
-        series = report.figure_series[fig]
-        path = os.path.join(out_dir, f"{fig}.csv")
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            names = list(series)
-            writer.writerow(names)
-            for row in zip(*(series[name] for name in names)):
-                writer.writerow([_csv_cell(v) for v in row])
-        written.append(path)
+    written = [report_path]
+    with writing_to(out_dir):
+        os.makedirs(out_dir, exist_ok=True)
+        with open_output(report_path) as fh:
+            write_json(fh, doc)
+        for fig, series in sorted(report.figure_series.items()):
+            written.append(os.path.join(out_dir, f"{fig}.csv"))
+            with open_output(written[-1]) as fh:
+                write_rows(fh, list(series), zip(*series.values()))
     return written
-
-
-def _csv_cell(value):
-    if isinstance(value, (bool, int, str)):
-        return value
-    return repr(float(value))

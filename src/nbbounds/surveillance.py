@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from ._lazy import np
+from ._text import read_text, write_rows
 from .bounds import control_limit
 from .distributions import NB2Params, _pairwise_sum, _plain_sum, sample_nb2
 from .errors import DomainError
@@ -280,15 +281,7 @@ def load_scenario(source: str | io.TextIOBase) -> tuple[EpiScenario, list[float]
     a bad field raises a ``DomainError`` naming it.
     """
     try:
-        if isinstance(source, str):
-            with open(source, encoding="utf-8") as fh:
-                doc = json.load(fh)
-        else:
-            doc = json.load(source)
-    except OSError as exc:
-        raise DomainError("invalid-parameter", f"cannot read scenario file: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise DomainError("invalid-parameter", f"scenario file is not UTF-8: {exc}") from None
+        doc = json.loads(read_text(source, "scenario file"))
     except json.JSONDecodeError as exc:
         raise DomainError("invalid-parameter", f"scenario file is not valid JSON: {exc}") from exc
     try:
@@ -342,15 +335,9 @@ def load_counts(source: str | io.TextIOBase, scenario: EpiScenario) -> np.ndarra
 
 def _read_count_rows(source: str | io.TextIOBase, scenario: EpiScenario) -> list[list[float]]:
     """:func:`load_counts` as a list of rows, so a caller need not load numpy."""
-    if isinstance(source, str):
-        try:
-            with open(source, newline="", encoding="utf-8") as fh:
-                return _read_count_rows(fh, scenario)
-        except OSError as exc:
-            raise DomainError("invalid-parameter", f"cannot read counts file: {exc}") from exc
-        except UnicodeDecodeError as exc:
-            raise DomainError("invalid-parameter", f"counts file is not UTF-8: {exc}") from None
-    reader = csv.reader(source)
+    # newline="" as the csv module asks, so CRLF and quoted line ends parse as in a file
+    text = read_text(source, "counts file", newline="")
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = next(reader)
     except StopIteration:
@@ -390,8 +377,5 @@ def _read_count_rows(source: str | io.TextIOBase, scenario: EpiScenario) -> list
 
 def write_history(state: MonitoringState, sink: io.TextIOBase) -> None:
     """Emit the monitoring history as ``period,S_t,lambda_alpha,alarm`` CSV."""
-    writer = csv.writer(sink, lineterminator="\n")
-    writer.writerow(["period", "S_t", "lambda_alpha", "alarm"])
-    for period, deviation, alarm in state.history:
-        writer.writerow([period, repr(float(deviation)), repr(float(state.control_limit)),
-                         "true" if alarm else "false"])
+    rows = [(period, s_t, state.control_limit, alarm) for period, s_t, alarm in state.history]
+    write_rows(sink, ["period", "S_t", "lambda_alpha", "alarm"], rows)

@@ -186,6 +186,33 @@ def reference_bernstein_terms(model, lam: float) -> tuple[float, float]:
     return 2.0 * math.exp(-float(min(cond, 1000))), 2.0 * math.exp(-float(min(mix, 1000)))
 
 
+def reference_chernoff_log_objective(params, a: float, t: float) -> tuple[Decimal, Decimal]:
+    """The Chernoff log-objective at ``t`` in ``decimal`` at 60 digits, and its scale.
+
+    The objective is ``-t n a - t sum(mean_i) + sum(r_i log(p_i / (1 - (1 - p_i) e^t)))``
+    with every float input read exactly. The scale sums the magnitudes of its
+    terms, plus ``r_i`` for each logarithm's rounded argument, plus ``r_i`` times
+    ``(1 - p_i) e^t / (1 - (1 - p_i) e^t) * (|t| + |log(1 - p_i)|)``, by which
+    the last term magnifies relative errors in its exponent ``t + log(1 - p_i)``.
+    A float evaluation's absolute error is a small multiple of ``2**-53`` times
+    the scale.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 60
+        t, a, n = Decimal(t), Decimal(a), len(params)
+        total_mean = sum(Decimal(q.r) * (1 - Decimal(q.p)) / Decimal(q.p) for q in params)
+        value = -t * n * a - t * total_mean
+        scale = abs(t) * (n * a + total_mean)
+        for q in params:
+            r, p = Decimal(q.r), Decimal(q.p)
+            grown = (1 - p) * t.exp()
+            log_p, log_rest = p.ln(), (1 - grown).ln()
+            value += r * (log_p - log_rest)
+            lift = grown / (1 - grown) * (abs(t) + abs((1 - p).ln()))
+            scale += r * (abs(log_p) + abs(log_rest) + 1 + lift)
+        return +value, +scale
+
+
 def reference_control_limit(v_n: float, alpha_level: float) -> Fraction:
     """``sqrt(v_n / alpha_level)`` in ``decimal`` at 60 digits."""
     with localcontext() as ctx:

@@ -361,6 +361,14 @@ class TestExactTailOracle:
         assert exact_max_deviation_tail_oracle([NBParams(1e-300, 0.5)], 1.0).value == (
             pytest.approx(5e-301, rel=1e-14))
 
+    def test_error_covers_a_discarded_tail_below_float_resolution(self):
+        # the support is cut to 0..1, so P(X >= 2), about 1.9e-301, is discarded;
+        # 1 - kept mass reads 0.0, the certified tail does not
+        params, truth = [NBParams(1e-300, 0.5)], -math.expm1(1e-300 * math.log(0.5))
+        for oracle in (exact_max_deviation_tail_oracle(params, 1.0),
+                       exact_mean_deviation_tail(params, 1.0)):
+            assert oracle.value <= truth <= oracle.value + oracle.truncation_error
+
     def test_support_without_a_certifiable_end_rejected(self):
         # 1 - p rounds to 1, so the geometric tail bound never falls below 1
         # and the scan would go to the budget of 10**7 states

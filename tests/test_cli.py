@@ -108,6 +108,15 @@ class TestBoundCommand:
         )
         assert proc.returncode == 0
 
+    def test_crlf_thetas_file_reads_as_lf(self, tmp_path):
+        argv = ["bound", "bernstein", "--shape", "4", "--rate", "4", "--lambda", "60"]
+        lf, crlf = tmp_path / "lf.txt", tmp_path / "crlf.txt"
+        lf.write_bytes(b"7\n5\n\n0.5\n")
+        crlf.write_bytes(b"7\r\n5\r\n\r\n0.5\r\n")
+        expected = run_cli(*argv, "--thetas", f"@{lf}")
+        proc = run_cli(*argv, "--thetas", f"@{crlf}")
+        assert (proc.returncode, proc.stdout) == (0, expected.stdout)
+
     def test_thetas_file_bad_line_exit_1(self, tmp_path):
         theta_file = tmp_path / "thetas.txt"
         theta_file.write_text("7\n\nfive\n")
@@ -355,6 +364,28 @@ class TestMonitorCommand:
         assert_error_exit_1(proc, f"cannot write to {out}")
         assert proc.stdout == ""
 
+    def test_unwritable_history_error_has_its_code(self, scenario_file, tmp_path):
+        out = tmp_path / "missing" / "h.csv"
+        proc = run_cli(
+            "monitor", "--scenario", scenario_file,
+            "--counts", self._counts_csv(tmp_path, [[210, 340, 290, 480, 380]]),
+            "--out", str(out),
+        )
+        assert_error_exit_1(proc, f"error: invalid-parameter: cannot write to {out}: ")
+
+    def test_crlf_counts_with_blank_lines_read_as_lf(self, scenario_file, tmp_path):
+        lf = self._counts_csv(tmp_path, [[250, 300, 310, 500, 390], [190, 360, 280, 470, 400.5]])
+        crlf = tmp_path / "crlf.csv"
+        crlf.write_bytes(Path(lf).read_bytes().replace(b"\n", b"\r\n\r\n"))
+        expected = run_cli("monitor", "--scenario", scenario_file, "--counts", lf)
+        proc = run_cli("monitor", "--scenario", scenario_file, "--counts", str(crlf))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected.stdout, "")
+        assert len(proc.stdout.splitlines()) == 3
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"region_1,region_2,region_3,region_4,region_5\r\n\r\n1,2,3,4,oops\r\n")
+        proc = run_cli("monitor", "--scenario", scenario_file, "--counts", str(bad))
+        assert_error_exit_1(proc, "invalid-parameter", "malformed counts row at line 3")
+
     def test_duplicate_region_ids_exit_1(self, tmp_path):
         scenario = tmp_path / "dup.json"
         scenario.write_text(json.dumps({
@@ -481,6 +512,13 @@ class TestReproduceCommand:
     def test_unwritable_directory_exit_1(self):
         proc = run_cli("reproduce", "epi", "--reps", "100", "--out", "/proc/nope")
         assert proc.returncode == 1
+
+    def test_unwritable_directory_error_has_its_code(self, tmp_path):
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "out"  # under a regular file, so no directory can be made
+        proc = run_cli("reproduce", "epi", "--reps", "1", "--out", str(out))
+        assert_error_exit_1(proc, f"error: invalid-parameter: cannot write to {out}: ")
+        assert proc.stdout == ""
 
 
 class TestRuntimeImports:
