@@ -30,10 +30,11 @@ numpy's pairwise ``np.sum``, and its largest prefix left to right, once,
 when it is built, so the mixture bounds never load numpy.
 A threshold comes from inverting a bound (:func:`invert_bound`): it is the
 float that a plain bisection to relative width 1e-9 returns, found in about
-8 to 15 bound evaluations instead of about 40, because a binary search over
-the exponents finds its power-of-two bracket and a safeguarded secant then
-brackets the crossing so tightly that the bisection's comparisons outside
-the bracket need no evaluation.
+8 to 15 bound evaluations instead of about 40, because one binary search
+over the exponents from -996 to 39 finds its power-of-two bracket, above 1
+or below it, and a safeguarded secant then brackets the crossing so
+tightly that the bisection's comparisons outside the bracket need no
+evaluation.
 Two exact-tail oracles validate the bounds on small instances. Both run
 one absorbing-barrier walk that convolves truncated PMFs one variable at a
 time, under one work budget; the mean tail runs it with no barrier. The NB
@@ -66,10 +67,13 @@ __all__ = [
     "exact_mean_deviation_tail",
 ]
 
-# Geometric bracket growth for bound inversion stops here.
+# Bound inversion looks for its crossing between these thresholds.
 _INVERT_LAMBDA_CAP = 1e12
-# The largest k with 2**k <= _INVERT_LAMBDA_CAP (39): the last power of two
-# that doubling from 1 evaluates before it passes the cap.
+_INVERT_LAMBDA_FLOOR = 1e-300
+# The powers of two it evaluates: 2**k for k from the smallest with
+# 2**k >= _INVERT_LAMBDA_FLOOR (-996) to the largest with
+# 2**k <= _INVERT_LAMBDA_CAP (39), as doubling or halving from 1 would.
+_INVERT_MIN_EXPONENT = math.frexp(_INVERT_LAMBDA_FLOOR)[1]
 _INVERT_MAX_EXPONENT = math.frexp(_INVERT_LAMBDA_CAP)[1] - 1
 # Bound inversion narrows its bracket to this width in log lambda before the
 # bisection, whose own steps stop near 1e-9, so few midpoints fall inside it.
@@ -211,9 +215,9 @@ def chernoff_mean_deviation_bound(params: Sequence[NBParams], a: float) -> Bound
     t_star, log_min, iterations, converged = _golden_section_minimize(
         log_objective, lo, hi, tol=1e-10 * t_max
     )
-    # the objective tends to 0 at t -> 0+, so its minimum is never positive
-    # beyond rounding noise and exp cannot overflow
-    raw = math.exp(log_min)
+    # the objective tends to 0 at t -> 0+ with slope -n*a, so its minimum is
+    # negative: a positive one is rounding noise, and the bound is then 1
+    raw = math.exp(min(log_min, 0.0))
     return _clamped(
         a, raw, optimizer=OptimizerDiagnostics(t_star, iterations, converged)
     )
@@ -330,55 +334,46 @@ def invert_bound(bound: Callable[[float], float], alpha_level: float) -> float:
     """Smallest threshold at which ``bound`` drops to ``alpha_level``.
 
     ``bound`` maps a threshold to a tail-probability bound and must be
-    strictly decreasing once below 1. The bracket is ``[2**(k-1), 2**k]``
-    for the smallest ``k`` in ``1..39`` with ``bound(2**k) <= alpha_level``,
-    found by binary search on ``k`` (the bracket halves below 1 instead if
-    ``bound(1)`` is already that low); then bisection refines to relative
-    tolerance 1e-9, and the result is the float that this plain bisection
-    returns. Under the monotonicity contract each comparison
-    ``bound(mid) <= alpha_level`` at a midpoint outside an evaluated
-    bracket ``[a, b]`` has a known answer, so the bisection calls ``bound``
-    only at midpoints strictly inside it, after :func:`_narrow_bracket` has
-    shrunk the bracket to a relative width of about 4e-12. An inversion
-    typically takes 8 to 15 evaluations of ``bound`` in all, where the
-    plain bisection takes about 40. Raises ``uninvertible`` if no threshold
-    up to 1e12 brings the bound down to ``alpha_level``.
+    strictly decreasing once below 1. One binary search over the exponents
+    ``k`` in ``-996..39``, whose first probe is ``k = 0``, finds the
+    smallest ``k`` with ``bound(2**k) <= alpha_level``; ``2**40`` counts as
+    low enough and ``2**-997`` as too high, neither evaluated. The bracket
+    is ``[2**(k-1), max(2**k, 1)]``, and bisection refines it to relative
+    tolerance 1e-9: the result is the float that a plain bisection, after
+    doubling or halving from 1, returns. Under the monotonicity contract
+    each comparison ``bound(mid) <= alpha_level`` at a midpoint outside an
+    evaluated bracket ``[a, b]`` has a known answer, so the bisection calls
+    ``bound`` only at midpoints strictly inside it, after
+    :func:`_narrow_bracket` has shrunk the bracket to a relative width of
+    about 4e-12. An inversion typically takes 8 to 15 evaluations of
+    ``bound`` in all, where the plain bisection takes about 40. Raises
+    ``uninvertible`` if no threshold up to 1e12 brings the bound down to
+    ``alpha_level``.
     """
     if not (0.0 < alpha_level < 1.0):
         raise DomainError("invalid-parameter", f"alpha_level must lie in (0, 1), got {alpha_level}")
 
-    hi, at_lo = 1.0, None
-    if (at_hi := bound(hi)) > alpha_level:
-        # binary search for the smallest k in 1.._INVERT_MAX_EXPONENT with
-        # bound(2**k) <= alpha_level; under the monotonicity contract it is
-        # where doubling from 1 would stop, and both ends get evaluated
-        k_lo, at_lo, k_hi = 0, at_hi, _INVERT_MAX_EXPONENT + 1
-        while k_hi - k_lo > 1:
-            k = (k_lo + k_hi) // 2
-            if (value := bound(2.0**k)) > alpha_level:
-                k_lo, at_lo = k, value
-            else:
-                k_hi, at_hi = k, value
-        if k_hi > _INVERT_MAX_EXPONENT:
-            raise DomainError(
-                "uninvertible",
-                f"bound stays above {alpha_level} for thresholds up to {_INVERT_LAMBDA_CAP:g}",
-            )
-        hi = 2.0**k_hi
-    lo = hi / 2.0
-    b, at_b = hi, at_hi
-    if at_lo is None:  # bound(1) <= alpha_level: halve below 1
-        while (at_lo := bound(lo)) <= alpha_level:
-            b, at_b = lo, at_lo
-            lo /= 2.0
-            if lo < 1e-300:
-                break
-    # invariant: bound(lo) > alpha_level >= bound(hi), unless the halving
-    # stopped at 1e-300 before evaluating lo; then every midpoint is evaluated
-    if lo >= 1e-300:
-        a, b = _narrow_bracket(bound, alpha_level, lo, at_lo, b, at_b)
-    else:
-        a, b = lo, hi
+    # invariant: bound(2**k_lo) > alpha_level >= bound(2**k_hi), where the
+    # ends start one past the searched exponents, unevaluated
+    k_lo, at_lo = _INVERT_MIN_EXPONENT - 1, None
+    k_hi, at_hi = _INVERT_MAX_EXPONENT + 1, None
+    k = 0
+    while k_hi - k_lo > 1:
+        if (value := bound(2.0**k)) > alpha_level:
+            k_lo, at_lo = k, value
+        else:
+            k_hi, at_hi = k, value
+        k = (k_lo + k_hi) // 2
+    if at_hi is None:
+        raise DomainError(
+            "uninvertible",
+            f"bound stays above {alpha_level} for thresholds up to {_INVERT_LAMBDA_CAP:g}",
+        )
+    lo, b = 2.0**k_lo, 2.0**k_hi
+    hi = max(b, 1.0)  # below 1 the bisection starts from [lo, 1], as halving would
+    a = lo  # no midpoint lies at or below lo
+    if at_lo is not None:  # narrowing needs both ends evaluated
+        a, b = _narrow_bracket(bound, alpha_level, lo, at_lo, b, at_hi)
     while (hi - lo) > 1e-9 * hi:
         mid = 0.5 * (lo + hi)
         if mid >= b:  # bound(mid) <= bound(b) <= alpha_level

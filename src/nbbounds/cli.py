@@ -200,13 +200,19 @@ def _cmd_reproduce(args) -> int:
         seed = int(np.random.SeedSequence().entropy % (1 << 64))
     table2_reps = args.reps if args.reps is not None else TABLE2_REPLICATIONS
     epi_reps = args.reps if args.reps is not None else EPI_REPLICATIONS
+    out_dir = args.out or os.environ.get(OUT_ENV_VAR) or "."
+    # an unwritable directory fails here, before any Monte Carlo runs
+    with writing_to(out_dir):
+        os.makedirs(out_dir, exist_ok=True)
+        probe = os.path.join(out_dir, f".nbbounds-{os.getpid()}.tmp")
+        os.close(os.open(probe, os.O_WRONLY | os.O_CREAT | os.O_EXCL))
+        os.remove(probe)
     report = build_report(
         args.which,
         seed=seed,
         table2_replications=table2_reps,
         epi_replications=epi_reps,
     )
-    out_dir = args.out or os.environ.get(OUT_ENV_VAR) or "."
     for path in write_report(report, out_dir):
         print(path)
     return EXIT_OK
@@ -268,13 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     reproduce.add_argument(
         "--reps", type=int, help="override replication counts (table2, figures, all: >= 2)"
-    )
-    reproduce.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="accepted for compatibility; has no effect (replications are split "
-        "across the usable CPUs automatically)",
     )
     reproduce.add_argument("--out", help=f"output directory (default ${OUT_ENV_VAR} or '.')")
     reproduce.set_defaults(handler=_cmd_reproduce)

@@ -19,6 +19,7 @@ import csv
 import io
 import json
 import math
+import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -178,7 +179,8 @@ def monitor_step(
     """Advance one week; the input state is left untouched.
 
     Adds ``sum(count_j - fitted_mu_j)`` to the cumulative deviation and
-    recomputes the alarm flag (inclusive at the limit).
+    recomputes the alarm flag (inclusive at the limit). A cumulative
+    deviation that is not a finite float raises ``float-range``.
     """
     if len(weekly_counts) != len(fitted_mu):
         raise DomainError(
@@ -195,6 +197,11 @@ def monitor_step(
         [float(c) - float(m) for c, m in zip(weekly_counts, fitted_mu)]
     )
     period = state.period_index + 1
+    if not abs(deviation) < math.inf:  # also rejects NaN
+        raise DomainError(
+            "float-range",
+            f"the cumulative deviation at period {period} is outside the floating-point range",
+        )
     alarm = abs(deviation) >= state.control_limit
     return MonitoringState(
         period_index=period,
@@ -266,7 +273,7 @@ def run_epi_validation(
 # -- file formats -----------------------------------------------------------
 
 
-def load_scenario(source: str | io.TextIOBase) -> tuple[EpiScenario, list[float]]:
+def load_scenario(source: str | os.PathLike | io.TextIOBase) -> tuple[EpiScenario, list[float]]:
     """Read a scenario JSON document; returns (scenario, alpha_levels).
 
     Expected layout::
@@ -323,7 +330,7 @@ def _scenario_number(value, field: str) -> float:
         ) from None
 
 
-def load_counts(source: str | io.TextIOBase, scenario: EpiScenario) -> np.ndarray:
+def load_counts(source: str | os.PathLike | io.TextIOBase, scenario: EpiScenario) -> np.ndarray:
     """Read a weekly-counts CSV against the scenario's region identifiers.
 
     One row per week, one column per region, header row of region ids.
@@ -333,7 +340,9 @@ def load_counts(source: str | io.TextIOBase, scenario: EpiScenario) -> np.ndarra
     return np.array(_read_count_rows(source, scenario))
 
 
-def _read_count_rows(source: str | io.TextIOBase, scenario: EpiScenario) -> list[list[float]]:
+def _read_count_rows(
+    source: str | os.PathLike | io.TextIOBase, scenario: EpiScenario
+) -> list[list[float]]:
     """:func:`load_counts` as a list of rows, so a caller need not load numpy."""
     # newline="" as the csv module asks, so CRLF and quoted line ends parse as in a file
     text = read_text(source, "counts file", newline="")

@@ -187,7 +187,7 @@ def reference_bernstein_terms(model, lam: float) -> tuple[float, float]:
 
 
 def reference_chernoff_log_objective(params, a: float, t: float) -> tuple[Decimal, Decimal]:
-    """The Chernoff log-objective at ``t`` in ``decimal`` at 60 digits, and its scale.
+    """The Chernoff log-objective at ``t`` in ``decimal`` at 400 digits, and its scale.
 
     The objective is ``-t n a - t sum(mean_i) + sum(r_i log(p_i / (1 - (1 - p_i) e^t)))``
     with every float input read exactly. The scale sums the magnitudes of its
@@ -195,10 +195,11 @@ def reference_chernoff_log_objective(params, a: float, t: float) -> tuple[Decima
     ``(1 - p_i) e^t / (1 - (1 - p_i) e^t) * (|t| + |log(1 - p_i)|)``, by which
     the last term magnifies relative errors in its exponent ``t + log(1 - p_i)``.
     A float evaluation's absolute error is a small multiple of ``2**-53`` times
-    the scale.
+    the scale. The 400 digits keep 60 in ``1 - (1 - p_i) e^t`` for ``p_i`` down
+    to 1e-300, where ``1 - p_i`` alone takes 300.
     """
     with localcontext() as ctx:
-        ctx.prec = 60
+        ctx.prec = 400
         t, a, n = Decimal(t), Decimal(a), len(params)
         total_mean = sum(Decimal(q.r) * (1 - Decimal(q.p)) / Decimal(q.p) for q in params)
         value = -t * n * a - t * total_mean

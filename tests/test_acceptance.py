@@ -7,6 +7,7 @@ at the fixed default seed so the suite is deterministic.
 
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -14,6 +15,8 @@ import numpy as np
 from scipy import stats
 
 import nbbounds as nb
+from nbbounds import simulation
+from nbbounds.cli import main
 from nbbounds.reproduce import DEFAULT_SEED
 
 from helpers import mc_mixture_max_deviations, quad_mixture_pmf
@@ -255,7 +258,7 @@ def test_criterion_7_numerical_properties():
     _finish("criterion-7 numerical properties", failures)
 
 
-def test_criterion_8_determinism(tmp_path):
+def test_criterion_8_determinism(tmp_path, monkeypatch):
     failures = []
     check = _checker(failures)
 
@@ -267,19 +270,31 @@ def test_criterion_8_determinism(tmp_path):
         other = tmp_path / "b" / path.name
         check(path.read_bytes() == other.read_bytes(), f"{path.name} differs between runs")
 
-    # worker count must not influence outputs
-    for workers in ("1", "2", "8"):
-        proc = run_cli(
-            "reproduce", "table2", "--seed", "42", "--reps", "200",
-            "--workers", workers, "--out", str(tmp_path / f"w{workers}"),
-        )
-        check(proc.returncode == 0, f"--workers {workers} run failed")
-    base = (tmp_path / "w1" / "report.json").read_bytes()
-    for workers in ("2", "8"):
-        check(
-            (tmp_path / f"w{workers}" / "report.json").read_bytes() == base,
-            f"--workers {workers} changed results",
-        )
+    # the worker count must not influence outputs: in this process, with
+    # shards of at least 400, 1,200 replications split over 1, 2 and 3
+    # usable CPUs, and each forked child draws its shard
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(simulation, "_MIN_SHARD", 400)
+    reports, fork_counts = {}, {}
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(simulation, "_usable_cpus", lambda: cpus)
+        out = tmp_path / f"cpus{cpus}"
+        argv = ["reproduce", "table2", "--seed", "42", "--reps", "1200", "--out", str(out)]
+        check(main(argv) == 0, f"reproduce table2 on {cpus} CPUs failed")
+        reports[cpus] = (out / "report.json").read_bytes()
+        fork_counts[cpus] = len(forks)
+        forks.clear()
+    check(fork_counts[1] == 0 < fork_counts[2] and fork_counts[3] == 2 * fork_counts[2],
+          f"forks per CPU count {fork_counts}")
+    for cpus in (2, 3):
+        check(reports[cpus] == reports[1], f"{cpus} CPUs changed report.json")
     _finish("criterion-8 determinism", failures)
 
 

@@ -50,6 +50,14 @@ class TestChernoff:
         result = chernoff_mean_deviation_bound([NBParams(2, 0.5)] * 3, 1e-12)
         assert result.bound_value == pytest.approx(1.0, abs=1e-9)
 
+    def test_rounded_positive_minimum_gives_one(self):
+        # the log-objective's rounding error (about r * |log p| * 2**-53) puts
+        # its computed minimum far above 0; exp of it overflowed
+        params = [NBParams(3.009303794823953e17, 1.2149061125292491e-200),
+                  NBParams(3.336478591689921e-11, 0.9999999976906356)]
+        result = chernoff_mean_deviation_bound(params, 3.860285527784333e-164)
+        assert result.raw_value == result.bound_value == 1.0
+
     def test_dominates_exact_tail_dp(self):
         params = [NBParams(2, 0.5)] * 3
         result = chernoff_mean_deviation_bound(params, 1.0)

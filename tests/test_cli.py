@@ -25,7 +25,7 @@ from nbbounds import (
     start_monitoring,
     write_history,
 )
-from nbbounds import simulation
+from nbbounds import cli, simulation
 from nbbounds.cli import main
 from nbbounds.reproduce import build_report, write_report
 
@@ -407,6 +407,26 @@ class TestMonitorCommand:
         assert proc.returncode == 1
         assert "line 2" in proc.stderr
 
+    def test_deviation_out_of_float_range_exit_1(self, tmp_path, capsys):
+        # 1e308 + 1e308 overflows: S_t was written as inf, with exit 3
+        scenario = tmp_path / "two.json"
+        scenario.write_text(json.dumps({"regions": [{"weekly_mu": 10, "kappa": 0.1},
+                                                    {"weekly_mu": 20, "kappa": 0.1}],
+                                        "weeks": 4}))
+        counts = tmp_path / "counts.csv"
+        counts.write_text("region_1,region_2\n5,25\n1e308,1e308\n")
+        out = tmp_path / "history.csv"
+        argv = ["monitor", "--scenario", str(scenario), "--counts", str(counts)]
+        assert main(argv) == 1
+        assert main([*argv, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: float-range: the cumulative deviation at period 2 is outside the "
+            "floating-point range"
+        ] * 2
+        assert not out.exists()
+
 
 class TestReproduceCommand:
     def test_table2_report(self, tmp_path):
@@ -431,15 +451,12 @@ class TestReproduceCommand:
         for path in sorted((tmp_path / "a").iterdir()):
             assert path.read_bytes() == (tmp_path / "b" / path.name).read_bytes()
 
-    def test_workers_do_not_change_output(self, tmp_path):
-        for name, workers in (("w1", "1"), ("w8", "8")):
-            run_cli(
-                "reproduce", "table2", "--seed", "42", "--reps", "200",
-                "--workers", workers, "--out", str(tmp_path / name),
-            )
-        a = (tmp_path / "w1" / "report.json").read_bytes()
-        b = (tmp_path / "w8" / "report.json").read_bytes()
-        assert a == b
+    def test_workers_option_is_gone(self, capsys):
+        # the usable CPUs alone decide the split (criterion 8 checks it)
+        with pytest.raises(SystemExit) as info:
+            main(["reproduce", "all", "--workers", "2"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
 
     def test_sharded_run_equals_one_worker(self, tmp_path, monkeypatch):
         # 1,200 replications shard across every usable CPU in the subprocess
@@ -512,6 +529,32 @@ class TestReproduceCommand:
     def test_unwritable_directory_exit_1(self):
         proc = run_cli("reproduce", "epi", "--reps", "100", "--out", "/proc/nope")
         assert proc.returncode == 1
+
+    @pytest.mark.parametrize("via", ["--out", "NBBOUNDS_OUT"])
+    def test_unwritable_directory_fails_before_monte_carlo(self, via, tmp_path, monkeypatch,
+                                                           capsys):
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "out"  # under a regular file, so no directory can be made
+
+        def build_report(*args, **kwargs):
+            raise AssertionError("the report was built before its directory was checked")
+
+        monkeypatch.setattr(cli, "build_report", build_report)
+        monkeypatch.delenv("NBBOUNDS_OUT", raising=False)
+        argv = ["reproduce", "all"]
+        if via == "--out":
+            argv += ["--out", str(out)]
+        else:
+            monkeypatch.setenv("NBBOUNDS_OUT", str(out))
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: invalid-parameter: cannot write to {out}: ")
+
+    def test_directory_check_leaves_no_file(self, tmp_path):
+        proc = run_cli("reproduce", "epi", "--reps", "1", "--out", str(tmp_path / "new"))
+        assert proc.returncode == 0, proc.stderr
+        assert [path.name for path in (tmp_path / "new").iterdir()] == ["report.json"]
 
     def test_unwritable_directory_error_has_its_code(self, tmp_path):
         (tmp_path / "file").write_text("")
@@ -722,3 +765,15 @@ class TestErrorCodes:
                     assert isinstance(code, ast.Constant), f"{source.name}:{node.lineno}"
                     raised.add(code.value)
         assert raised and raised <= documented
+
+
+def test_package_exports_each_module_name_once():
+    from nbbounds import _version, bounds, distributions, errors, rng, surveillance
+
+    assert len(set(nbbounds.__all__)) == len(nbbounds.__all__)
+    owners = {"__version__": _version, "DomainError": errors, "RngHandle": rng}
+    for module in (distributions, bounds, simulation, surveillance):
+        owners.update(dict.fromkeys(module.__all__, module))
+    assert sorted(nbbounds.__all__) == sorted(owners)
+    for name, module in owners.items():
+        assert getattr(nbbounds, name) is getattr(module, name), name

@@ -223,6 +223,30 @@ def test_invert_bound_equals_plain_bisection_below_the_halving_floor():
 
 
 @pytest.mark.parametrize(
+    "bound, alpha, most_calls",
+    [
+        # at most alpha everywhere: the search ends at 2**-996, and the
+        # bisection of [2**-997, 1] evaluates below it (2,024 calls when
+        # the bracket below 1 was found by halving)
+        (lambda lam: 0.0, 0.05, 45),
+        # crosses at 2e-249 (830 calls by halving)
+        (lambda lam: min(1.0, 1e-250 / lam), 0.05, 15),
+    ],
+    ids=["zero", "crossing-at-2e-249"],
+)
+def test_invert_bound_below_one_in_few_evaluations(bound, alpha, most_calls):
+    calls = 0
+
+    def counted(lam):
+        nonlocal calls
+        calls += 1
+        return bound(lam)
+
+    assert invert_bound(counted, alpha) == reference_invert_bound(bound, alpha)
+    assert calls <= most_calls
+
+
+@pytest.mark.parametrize(
     "bound, alpha",
     [
         (lambda lam: 1.0, 0.05),
@@ -615,20 +639,36 @@ def test_closed_forms_match_exact_arithmetic(seed):
     assert result.raw_value == sum(result.components)
 
 
-# 20,000 seeded instances of this draw gave at most 0.91 x 2**-53 x (scale + 1)
+# 20,000 seeded instances of the narrower draw (r and a over 1e-3..1e3, p
+# over 1e-6..1) gave at most 0.91 x 2**-53 x (scale + 1)
 @settings(max_examples=500, deadline=None)
 @given(seed=st.integers(0, 2**64 - 1))
 def test_chernoff_minimum_matches_decimal_objective(seed):
     """``log(raw_value)`` is the log-objective at the returned ``t_star``, to
-    within 8 x 2**-53 times its condition scale plus 1 (the last ``exp``)."""
+    within 8 x 2**-53 times its condition scale plus 1 (the last ``exp``); a
+    ``raw_value`` below the normal floats needs the objective no higher
+    than the log of the smallest normal float, within that error. ``r``
+    and ``a`` are log-uniform on 1e-300..1e300, and ``p`` on 1e-300..1 or 1
+    minus a log-uniform 1e-16..1; ``float-range`` is raised exactly when
+    the total mean is past the largest float."""
     rng = random.Random(seed)
-    nb = [NBParams(10.0 ** rng.uniform(-3.0, 3.0),
-                   rng.uniform(1e-6, 1.0 - 1e-6) if rng.random() < 0.5
-                   else 10.0 ** rng.uniform(-6.0, -1e-9))
+    nb = [NBParams(10.0 ** rng.uniform(-300.0, 300.0),
+                   10.0 ** rng.uniform(-300.0, -1e-9) if rng.random() < 0.5
+                   else 1.0 - 10.0 ** rng.uniform(-16.0, -1e-9))
           for _ in range(rng.randint(1, 6))]
-    a = 10.0 ** rng.uniform(-3.0, 3.0)
-    result = chernoff_mean_deviation_bound(nb, a)
-    assume(result.raw_value > sys.float_info.min)  # a subnormal keeps fewer bits
+    a = 10.0 ** rng.uniform(-300.0, 300.0)
+    try:
+        result = chernoff_mean_deviation_bound(nb, a)
+    except DomainError as error:
+        assert error.code == "float-range"
+        exact_mean = sum(Fraction(q.r) * (1 - Fraction(q.p)) / Fraction(q.p) for q in nb)
+        _assert_float_rule(math.inf, exact_mean)
+        return
     value, scale = reference_chernoff_log_objective(nb, a, result.optimizer.t_star)
-    error = abs(Decimal(math.log(result.raw_value)) - value)
-    assert error <= 8 * Decimal(2.0**-53) * (scale + 1), (float(error), float(scale))
+    tolerance = 8 * Decimal(2.0**-53) * (scale + 1)
+    if result.raw_value < sys.float_info.min:  # a subnormal keeps fewer bits
+        assert value - tolerance <= Decimal(math.log(sys.float_info.min)), (
+            float(value), float(scale))
+    else:
+        error = abs(Decimal(math.log(result.raw_value)) - value)
+        assert error <= tolerance, (float(error), float(scale))

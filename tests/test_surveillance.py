@@ -112,6 +112,22 @@ class TestMonitoring:
         with pytest.raises(DomainError):
             monitor_step(state, [1.0, 2.0], [1.0])
 
+    @pytest.mark.parametrize(
+        "rows, fitted",
+        [
+            ([[1e308, 1e308]], [10.0, 20.0]),  # inf in one week
+            ([[1e308, 0.0], [1e308, 0.0]], [10.0, 20.0]),  # inf over two
+            ([[0.0, 0.0], [0.0, 0.0]], [1e308, 0.0]),  # -inf over two
+        ],
+    )
+    def test_deviation_out_of_float_range_rejected(self, rows, fitted):
+        state = start_monitoring(limit=50.0, horizon=4)
+        for row in rows[:-1]:
+            state = monitor_step(state, row, fitted)
+        with pytest.raises(DomainError, match="outside the floating-point range") as info:
+            monitor_step(state, rows[-1], fitted)
+        assert info.value.code == "float-range"
+
     def test_horizon_exceeded(self):
         state = start_monitoring(limit=50.0, horizon=1)
         state = monitor_step(state, [100.0], [100.0])
@@ -236,6 +252,18 @@ class TestFileFormats:
         assert [r.id for r in scenario.regions] == ["north", "region_2"]
         assert scenario.weeks == 12
         assert alphas == [0.05, 0.01]
+
+    def test_path_like_sources_read_as_paths(self, tmp_path):
+        path = tmp_path / "scenario.json"
+        path.write_text('{"regions": [{"id": "a", "weekly_mu": 1, "kappa": 0.1}], "weeks": 2}')
+        scenario, alphas = load_scenario(path)
+        assert [r.id for r in scenario.regions] == ["a"] and alphas == [0.05]
+        counts = tmp_path / "counts.csv"
+        counts.write_text("a\r\n3\r\n4\r\n")
+        np.testing.assert_array_equal(load_counts(counts, scenario), [[3.0], [4.0]])
+        with pytest.raises(DomainError, match="cannot read counts file") as info:
+            load_counts(tmp_path / "missing.csv", scenario)
+        assert info.value.code == "invalid-parameter"
 
     def test_malformed_scenario_rejected(self):
         with pytest.raises(DomainError):
