@@ -50,7 +50,7 @@ from typing import Callable, Sequence
 
 from ._lazy import np
 from .distributions import _BOX_HI, _BOX_LO, GammaMixture, NBParams, NB2Params, _plain_sum, _product
-from .errors import DomainError
+from .errors import DomainError, _require_positive
 
 __all__ = [
     "BoundResult",
@@ -140,9 +140,16 @@ def _clamped(threshold, raw, components=None, optimizer=None) -> BoundResult:
     return result
 
 
-def _require_positive(name: str, value: float) -> None:
-    if not (value > 0 and math.isfinite(value)):
-        raise DomainError("invalid-parameter", f"{name} must be a positive real, got {value}")
+def _nonempty(params: Sequence) -> list:
+    params = list(params)
+    if not params:
+        raise DomainError("invalid-parameter", "params must be a nonempty sequence")
+    return params
+
+
+def _require_level(alpha_level: float) -> None:
+    if not (0.0 < alpha_level < 1.0):
+        raise DomainError("invalid-parameter", f"alpha_level must lie in (0, 1), got {alpha_level}")
 
 
 def _golden_section_minimize(
@@ -178,33 +185,28 @@ def chernoff_mean_deviation_bound(params: Sequence[NBParams], a: float) -> Bound
 
     The log-domain objective ``-t*n*a - t*sum(mean_i) + sum(log_mgf_i(t))``
     is convex on ``(0, t_max)`` with ``t_max = -log(1 - p_min)``; a
-    golden-section search over ``[eps*t_max, (1-eps)*t_max]`` finds the
-    minimizer without ever leaving the MGF domain. The returned bound is
-    ``exp(minimum)`` clamped to [0, 1].
+    golden-section search over ``[eps*t_max, hi]`` with ``eps = 1e-10`` and
+    ``hi = min((1-eps)*t_max, the float below t_max)`` finds the minimizer.
+    Every ``t`` it visits is below every variable's ``-log(1 - p_i)``, so it
+    never leaves the MGF domain, for a subnormal ``p_min`` too. The returned
+    bound is ``exp(minimum)`` clamped to [0, 1].
     """
-    params = list(params)
-    if not params:
-        raise DomainError("invalid-parameter", "params must be a nonempty sequence")
+    params = _nonempty(params)
     _require_positive("a", a)
 
     n = len(params)
     total_mean = _plain_sum(q.mean() for q in params)
     if not total_mean < math.inf:
         raise DomainError("float-range", "the total mean is outside the floating-point range")
-    p_min = min(q.p for q in params)
-    t_max = -math.log1p(-p_min)
+    t_max = -math.log1p(-min(q.p for q in params))
     eps = 1e-10
-    lo, hi = eps * t_max, (1.0 - eps) * t_max
+    # (1 - eps) * t_max rounds to t_max once t_max is below about 2.5e-314;
+    # hi < t_max <= -log(1 - p_i) keeps every visited t in every domain
+    lo, hi = eps * t_max, min((1.0 - eps) * t_max, math.nextafter(t_max, 0.0))
 
     # (r, log p, log(1-p)) per variable, computed once: the objective then
-    # evaluates nb_log_mgf's expression, in its order, in plain floats; every
-    # t the search visits lies in [lo, hi], so the domain guard runs once, at hi
+    # evaluates nb_log_mgf's expression, in its order, in plain floats
     terms = [(q.r, math.log(q.p), math.log1p(-q.p)) for q in params]
-    for _, _, log_q in terms:
-        if hi >= -log_q:
-            raise DomainError(
-                "mgf-domain-exceeded", f"t = {hi} is outside the MGF domain t < {-log_q}"
-            )
 
     def log_objective(t: float) -> float:
         log_mgfs = 0.0
@@ -225,9 +227,7 @@ def chernoff_mean_deviation_bound(params: Sequence[NBParams], a: float) -> Bound
 
 def tweedie_variance(params: Sequence[NB2Params]) -> float:
     """Total variance ``sum(mu_i + kappa_i * mu_i**2)`` of independent NB2 counts."""
-    params = list(params)
-    if not params:
-        raise DomainError("invalid-parameter", "params must be a nonempty sequence")
+    params = _nonempty(params)
     total = float(_plain_sum(q.variance() for q in params))
     if not total < math.inf:
         raise DomainError("float-range", "the total variance is outside the floating-point range")
@@ -241,8 +241,7 @@ def control_limit(v_n: float, alpha_level: float) -> float:
     most ``alpha_level``, for any NB2 parameter values entering ``v_n``.
     """
     _require_positive("v_n", v_n)
-    if not (0.0 < alpha_level < 1.0):
-        raise DomainError("invalid-parameter", f"alpha_level must lie in (0, 1), got {alpha_level}")
+    _require_level(alpha_level)
     if _BOX_LO <= v_n <= _BOX_HI and _BOX_LO <= alpha_level:
         limit = math.sqrt(v_n / alpha_level)
     else:
@@ -260,9 +259,7 @@ def kolmogorov_independent_bound(params: Sequence[NBParams], lam: float) -> Boun
 
     ``P(max_k |S_k| >= lam) <= lam**-2 * sum(r_i (1-p_i) / p_i**2)``.
     """
-    params = list(params)
-    if not params:
-        raise DomainError("invalid-parameter", "params must be a nonempty sequence")
+    params = _nonempty(params)
     _require_positive("lambda", lam)
     total = _plain_sum(q.variance() for q in params)
     if _BOX_LO <= total <= _BOX_HI and _BOX_LO <= lam <= _BOX_HI:
@@ -350,8 +347,7 @@ def invert_bound(bound: Callable[[float], float], alpha_level: float) -> float:
     ``uninvertible`` if no threshold up to 1e12 brings the bound down to
     ``alpha_level``.
     """
-    if not (0.0 < alpha_level < 1.0):
-        raise DomainError("invalid-parameter", f"alpha_level must lie in (0, 1), got {alpha_level}")
+    _require_level(alpha_level)
 
     # invariant: bound(2**k_lo) > alpha_level >= bound(2**k_hi), where the
     # ends start one past the searched exponents, unevaluated
@@ -596,9 +592,7 @@ def exact_max_deviation_tail_oracle(params: Sequence[NBParams], lam: float) -> O
     moves its mass to the exceedance accumulator. Equivalent to full joint
     enumeration but linear in the support sizes.
     """
-    params = list(params)
-    if not params:
-        raise DomainError("invalid-parameter", "params must be a nonempty sequence")
+    params = _nonempty(params)
     _require_positive("lambda", lam)
     tails: list[float] = []
     surviving, exceeded, _ = _exact_walk(params, lam, tails)
@@ -608,9 +602,7 @@ def exact_max_deviation_tail_oracle(params: Sequence[NBParams], lam: float) -> O
 
 def exact_mean_deviation_tail(params: Sequence[NBParams], a: float) -> OracleTail:
     """Exact ``P(mean - E[mean] >= a)`` by truncated PMF convolution."""
-    params = list(params)
-    if not params:
-        raise DomainError("invalid-parameter", "params must be a nonempty sequence")
+    params = _nonempty(params)
     _require_positive("a", a)
     tails: list[float] = []
     total, _, total_mean = _exact_walk(params, math.inf, tails)

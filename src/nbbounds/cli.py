@@ -83,7 +83,7 @@ def _parse_thetas(text: str) -> list[float]:
     """Loadings as comma floats, '@design' for the built-in 20-variable
     moment-matched design, or '@PATH' for a one-value-per-line file."""
     if text == "@design":
-        return [q.mean() for q in build_moment_matched_design().independent]
+        return list(build_moment_matched_design().mixture.thetas)
     if text.startswith("@"):
         path = text[1:]
         lines = read_text(path, f"thetas file {path}").split("\n")
@@ -175,17 +175,16 @@ def _cmd_bound(args) -> int:
 
 def _cmd_limit(args) -> int:
     if args.scenario:
-        scenario, file_alphas = load_scenario(args.scenario)
-        alphas = _parse_alphas(args.alpha) if args.alpha else file_alphas
-        limits = epi_control_limits(scenario, alphas)
+        scenario, alphas = load_scenario(args.scenario)
         v_n = scenario.tweedie_variance()
+    elif args.params:
+        v_n = tweedie_variance(_parse_nb2_params(args.params))
+        alphas = [0.05]
     else:
-        if not args.params:
-            raise DomainError("invalid-parameter", "either --params or --scenario is required")
-        params = _parse_nb2_params(args.params)
-        v_n = tweedie_variance(params)
-        alphas = _parse_alphas(args.alpha) if args.alpha else [0.05]
-        limits = [(a, control_limit(v_n, a)) for a in alphas]
+        raise DomainError("invalid-parameter", "either --params or --scenario is required")
+    if args.alpha:
+        alphas = _parse_alphas(args.alpha)
+    limits = [(a, control_limit(v_n, a)) for a in alphas]
     if args.format == "delimited":
         write_rows(sys.stdout, ["v_n", "alpha", "lambda"], [(v_n, a, lam) for a, lam in limits])
     else:
@@ -222,11 +221,6 @@ def _cmd_monitor(args) -> int:
     scenario, file_alphas = load_scenario(args.scenario)
     alpha = args.alpha if args.alpha is not None else file_alphas[0]
     counts = _read_count_rows(args.counts, scenario)
-    if len(counts) > scenario.weeks:
-        raise DomainError(
-            "horizon-exceeded",
-            f"counts file has {len(counts)} weeks, scenario horizon is {scenario.weeks}",
-        )
     (_, limit), = epi_control_limits(scenario, [alpha])
     fitted_mu = [r.weekly_mu for r in scenario.regions]
     state = start_monitoring(limit, scenario.weeks)

@@ -31,7 +31,7 @@ from operator import add
 from typing import Sequence
 
 from ._lazy import np
-from .errors import DomainError
+from .errors import DomainError, _require_nonnegative, _require_positive
 from .rng import RngHandle, as_generator
 
 __all__ = [
@@ -59,8 +59,7 @@ class NBParams:
     p: float
 
     def __post_init__(self):
-        if not (self.r > 0 and math.isfinite(self.r)):
-            raise DomainError("invalid-parameter", f"r must be a positive real, got {self.r}")
+        _require_positive("r", self.r)
         if not (0.0 < self.p < 1.0):
             raise DomainError("invalid-parameter", f"p must lie in (0, 1), got {self.p}")
 
@@ -94,10 +93,8 @@ class NB2Params:
     kappa: float
 
     def __post_init__(self):
-        if not (self.mu > 0 and math.isfinite(self.mu)):
-            raise DomainError("invalid-parameter", f"mu must be a positive real, got {self.mu}")
-        if not (self.kappa >= 0 and math.isfinite(self.kappa)):
-            raise DomainError("invalid-parameter", f"kappa must be nonnegative, got {self.kappa}")
+        _require_positive("mu", self.mu)
+        _require_nonnegative("kappa", self.kappa)
 
     def mean(self) -> float:
         return self.mu
@@ -218,15 +215,13 @@ class GammaMixture:
     thetas: tuple[float, ...]
 
     def __init__(self, gamma_shape: float, gamma_rate: float, thetas: Sequence[float]):
-        if not (gamma_shape > 0 and math.isfinite(gamma_shape)):
-            raise DomainError("invalid-parameter", f"gamma_shape must be positive, got {gamma_shape}")
-        if not (gamma_rate > 0 and math.isfinite(gamma_rate)):
-            raise DomainError("invalid-parameter", f"gamma_rate must be positive, got {gamma_rate}")
+        _require_positive("gamma_shape", gamma_shape)
+        _require_positive("gamma_rate", gamma_rate)
         thetas = tuple(float(t) for t in thetas)
         if not thetas:
             raise DomainError("invalid-parameter", "thetas must be a nonempty sequence")
-        if any(not (t > 0 and math.isfinite(t)) for t in thetas):
-            raise DomainError("invalid-parameter", "every theta must be a positive real")
+        for i, theta in enumerate(thetas):
+            _require_positive(f"thetas[{i}]", theta)
         object.__setattr__(self, "gamma_shape", float(gamma_shape))
         object.__setattr__(self, "gamma_rate", float(gamma_rate))
         object.__setattr__(self, "thetas", thetas)

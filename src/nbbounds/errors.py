@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""The exception type shared across the package, and the precondition
+checks that raise it for a positive or nonnegative finite real."""
+
+import math
 
 
 class DomainError(ValueError):
@@ -13,3 +16,16 @@ class DomainError(ValueError):
         super().__init__(f"{code}: {message}")
         self.code = code
         self.message = message
+
+
+def _require_positive(name: str, value: float) -> None:
+    """Raise ``invalid-parameter``, naming ``name`` and ``value``, unless
+    ``value`` is a positive finite real (NaN and inf are not)."""
+    if not (value > 0 and math.isfinite(value)):
+        raise DomainError("invalid-parameter", f"{name} must be a positive real, got {value}")
+
+
+def _require_nonnegative(name: str, value: float) -> None:
+    """As :func:`_require_positive`, with zero allowed."""
+    if not (value >= 0 and math.isfinite(value)):
+        raise DomainError("invalid-parameter", f"{name} must be a nonnegative real, got {value}")

@@ -15,11 +15,7 @@ from dataclasses import dataclass, field
 from ._lazy import np
 from ._text import open_output, write_json, write_rows, writing_to
 from ._version import __version__
-from .bounds import (
-    control_limit,
-    dependent_kolmogorov_bound,
-    kolmogorov_independent_bound,
-)
+from .bounds import dependent_kolmogorov_bound, kolmogorov_independent_bound
 from .errors import DomainError
 from .simulation import (
     DeviationSamples,
@@ -32,7 +28,7 @@ from .simulation import (
     run_independent_experiment,
     summarize_deviations,
 )
-from .surveillance import epi_max_deviations, reference_scenario
+from .surveillance import epi_control_limits, epi_max_deviations, reference_scenario
 
 __all__ = [
     "DEFAULT_SEED",
@@ -142,8 +138,7 @@ def reproduce_epi(seed: int, replications: int = EPI_REPLICATIONS) -> dict:
     95th percentile and whether it lands within 5% of the reference one.
     """
     scenario = reference_scenario()
-    v_n = scenario.tweedie_variance()
-    lambda_05 = control_limit(v_n, 0.05)
+    (_, lambda_05), (_, lambda_01) = epi_control_limits(scenario, [0.05, 0.01])
     by_mode = {
         mode: summarize_deviations(devs, lambda_05)
         for mode, devs in epi_max_deviations(scenario, replications, seed).items()
@@ -154,9 +149,9 @@ def reproduce_epi(seed: int, replications: int = EPI_REPLICATIONS) -> dict:
 
     chosen = by_mode[_EPI_REPORTED_MODE]
     return {
-        "v_n": float(v_n),
+        "v_n": scenario.tweedie_variance(),
         "lambda_05": lambda_05,
-        "lambda_01": control_limit(v_n, 0.01),
+        "lambda_01": lambda_01,
         "p95": chosen.p95,
         "efficiency": chosen.efficiency,
         "exceedance_rate": chosen.exceedance_rate,

@@ -27,7 +27,7 @@ from ._lazy import np
 from ._text import read_text, write_rows
 from .bounds import control_limit
 from .distributions import NB2Params, _pairwise_sum, _plain_sum, sample_nb2
-from .errors import DomainError
+from .errors import DomainError, _require_nonnegative, _require_positive
 from .simulation import (
     SimulationSummary,
     _max_abs_prefix_deviation,
@@ -62,10 +62,8 @@ class Region:
     id: str = ""
 
     def __post_init__(self):
-        if not (self.weekly_mu > 0 and math.isfinite(self.weekly_mu)):
-            raise DomainError("invalid-parameter", f"weekly_mu must be positive, got {self.weekly_mu}")
-        if not (self.kappa >= 0 and math.isfinite(self.kappa)):
-            raise DomainError("invalid-parameter", f"kappa must be nonnegative, got {self.kappa}")
+        _require_positive("weekly_mu", self.weekly_mu)
+        _require_nonnegative("kappa", self.kappa)
 
 
 @dataclass(frozen=True)
@@ -157,8 +155,7 @@ class MonitoringState:
 
 
 def start_monitoring(limit: float, horizon: int) -> MonitoringState:
-    if not (limit > 0 and math.isfinite(limit)):
-        raise DomainError("invalid-parameter", f"control limit must be positive, got {limit}")
+    _require_positive("control limit", limit)
     if horizon < 1:
         raise DomainError("invalid-parameter", f"horizon must be >= 1, got {horizon}")
     return MonitoringState(
@@ -265,7 +262,7 @@ def run_epi_validation(
     """
     if mode not in EPI_MAX_MODES:
         raise DomainError("invalid-parameter", f"mode must be one of {EPI_MAX_MODES}, got {mode!r}")
-    theoretical = control_limit(scenario.tweedie_variance(), alpha_level)
+    (_, theoretical), = epi_control_limits(scenario, [alpha_level])
     devs = epi_max_deviations(scenario, replications, seed)[mode]
     return summarize_deviations(devs, theoretical)
 

@@ -196,7 +196,7 @@ def reference_chernoff_log_objective(params, a: float, t: float) -> tuple[Decima
     the last term magnifies relative errors in its exponent ``t + log(1 - p_i)``.
     A float evaluation's absolute error is a small multiple of ``2**-53`` times
     the scale. The 400 digits keep 60 in ``1 - (1 - p_i) e^t`` for ``p_i`` down
-    to 1e-300, where ``1 - p_i`` alone takes 300.
+    to the smallest subnormal, 5e-324, where ``1 - p_i`` alone takes 324.
     """
     with localcontext() as ctx:
         ctx.prec = 400

@@ -89,6 +89,12 @@ class TestBoundCommand:
         assert record["bound_value"] == expected.bound_value
         assert record["optimizer"]["t_star"] == expected.optimizer.t_star
 
+    def test_chernoff_at_subnormal_p_exit_0(self):
+        # t_max is about 1e-320, where (1 - 1e-10) * t_max rounds to t_max
+        proc = run_cli("bound", "chernoff", "--params", "1e-20:1e-320", "--a", "1")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["bound_value"] == 1.0
+
     def test_bernstein_clamped(self):
         proc = run_cli(
             "bound", "bernstein",
@@ -327,6 +333,16 @@ class TestMonitorCommand:
         )
         assert proc.returncode == 3
         assert proc.stdout.splitlines()[1].endswith("true")
+
+    def test_counts_past_the_horizon_exit_1(self, scenario_file, tmp_path):
+        rows = [[210, 340, 290, 480, 380]] * 13  # the scenario has 12 weeks
+        out = tmp_path / "history.csv"
+        proc = run_cli(
+            "monitor", "--scenario", scenario_file,
+            "--counts", self._counts_csv(tmp_path, rows), "--out", str(out),
+        )
+        assert_error_exit_1(proc, "error: horizon-exceeded: ", "horizon of 12 periods")
+        assert not out.exists()
 
     def test_history_written_to_file(self, scenario_file, tmp_path):
         rows = [[210, 340, 290, 480, 380]] * 3

@@ -166,6 +166,11 @@ class TestGammaMixture:
             GammaMixture(4, 4, [7, 0.0])
         with pytest.raises(DomainError):
             GammaMixture(4, 4, [])
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            for name, args in (("gamma_shape", (bad, 4)), ("gamma_rate", (4, bad))):
+                message = f"^invalid-parameter: {name} must be a positive real, got {bad}$"
+                with pytest.raises(DomainError, match=message):
+                    GammaMixture(*args, [7])
 
     def test_marginal_law_matches_quadrature(self):
         # exact NB pmf vs numerically integrated Poisson-Gamma mixture

@@ -648,12 +648,13 @@ def test_chernoff_minimum_matches_decimal_objective(seed):
     within 8 x 2**-53 times its condition scale plus 1 (the last ``exp``); a
     ``raw_value`` below the normal floats needs the objective no higher
     than the log of the smallest normal float, within that error. ``r``
-    and ``a`` are log-uniform on 1e-300..1e300, and ``p`` on 1e-300..1 or 1
-    minus a log-uniform 1e-16..1; ``float-range`` is raised exactly when
-    the total mean is past the largest float."""
+    and ``a`` are log-uniform on 1e-300..1e300, and ``p`` on 5e-324..1
+    (subnormals included) or 1 minus a log-uniform 1e-16..1; ``float-range``
+    is raised exactly when the total mean is past the largest float, and
+    ``t_star`` lies in ``[0, t_max)``."""
     rng = random.Random(seed)
     nb = [NBParams(10.0 ** rng.uniform(-300.0, 300.0),
-                   10.0 ** rng.uniform(-300.0, -1e-9) if rng.random() < 0.5
+                   10.0 ** rng.uniform(-323.3, -1e-9) if rng.random() < 0.5
                    else 1.0 - 10.0 ** rng.uniform(-16.0, -1e-9))
           for _ in range(rng.randint(1, 6))]
     a = 10.0 ** rng.uniform(-300.0, 300.0)
@@ -664,6 +665,7 @@ def test_chernoff_minimum_matches_decimal_objective(seed):
         exact_mean = sum(Fraction(q.r) * (1 - Fraction(q.p)) / Fraction(q.p) for q in nb)
         _assert_float_rule(math.inf, exact_mean)
         return
+    assert 0.0 <= result.optimizer.t_star < -math.log1p(-min(q.p for q in nb))
     value, scale = reference_chernoff_log_objective(nb, a, result.optimizer.t_star)
     tolerance = 8 * Decimal(2.0**-53) * (scale + 1)
     if result.raw_value < sys.float_info.min:  # a subnormal keeps fewer bits

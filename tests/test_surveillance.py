@@ -1,5 +1,6 @@
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -49,6 +50,12 @@ class TestScenario:
             EpiScenario([Region(210, 0.35)], 0)
         with pytest.raises(DomainError):
             Region(-1.0, 0.2)
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            got = f"must be a positive real, got {bad}$"
+            with pytest.raises(DomainError, match=f"^invalid-parameter: weekly_mu {got}"):
+                Region(bad, 0.2)
+            with pytest.raises(DomainError, match=f"^invalid-parameter: control limit {got}"):
+                start_monitoring(bad, 12)
 
     @pytest.mark.parametrize(
         "regions, duplicate",
