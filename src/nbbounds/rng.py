@@ -7,7 +7,8 @@ independent sequences and a replication's stream is a pure function of its
 index: the result of replication ``i`` does not depend on how many
 replications run, in what order, or in which process. That holds only if
 the code drawing a replication is a pure function of its generator, which
-is why :func:`nbbounds.simulation.replicate` may run it in forked workers.
+is why :func:`nbbounds.simulation.replicate` may hand any chunk of
+replications to whichever forked worker takes it first from its queue.
 
 :func:`streams` walks many streams of one seed with a single generator,
 re-keyed in place at the start of each stream; that draws exactly what a

@@ -13,30 +13,32 @@ master seed and returns its raw draws as one row, so a replication's result
 is a pure function of its index and the first ``k`` replications of any
 run are the same ``k`` rows. The rows are then reduced as one array.
 
-Because a row depends on nothing but its stream, :func:`replicate` splits
-the replications into contiguous shards and fills the later shards in
-forked worker processes, one per usable CPU, which write their rows
-straight into the one result array in shared memory; the result does not
-depend on the split. Every sampler it runs must therefore be a pure
-function of its generator: a side effect inside it happens in whichever
-process drew the row.
+Because a row depends on nothing but its stream, :func:`replicate` cuts
+the replications into chunks and queues their numbers in one pipe. This
+process and forked workers, one per usable CPU, take chunks from the queue
+until it is empty and write their rows straight into the one result array
+in shared memory; the result does not depend on which process drew which
+chunk. Every sampler it runs must therefore be a pure function of its
+generator: a side effect inside it happens in whichever process drew the
+row.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import mmap
 import os
 import signal
 import threading
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from ._lazy import np
 from .bounds import control_limit, dependent_kolmogorov_bound, invert_bound, tweedie_variance
 from .distributions import GammaMixture, NBParams, NB2Params, sample_mixture_counts
 from .distributions import _nb2_replication_sampler, _pairwise_sum, _plain_sum
-from .errors import DomainError
+from .errors import DomainError, _require_count
 from .rng import streams
 
 __all__ = [
@@ -189,6 +191,16 @@ def design_from_mixture(mixture: GammaMixture) -> MomentMatchedDesign:
 # Fewest replications worth a forked worker: a fork and reap cost about
 # 1.3 ms on a 2-vCPU host, one replication 14-58 us.
 _MIN_SHARD = 250
+# Replications per chunk of the work queue. On a 2-vCPU host a chunk of 64
+# takes 0.9-3.7 ms to draw and its claim (one 4-byte pipe read) 0.9 us, so
+# the last chunk keeps the other worker waiting a few ms at most; a fixed
+# half of the 5,000 epi rows (2,500) took 112-196 ms. build_report("all")
+# took a median 0.33, 0.33, 0.32, 0.31 and 0.35 s (12 runs each) at chunks
+# of 16, 32, 64, 128 and 256.
+_CHUNK = 64
+# Most chunks in one queue: their 4-byte numbers then fill at most one
+# 4,096-byte pipe page, which is written whole (PIPE_BUF) before any read.
+_MAX_CHUNKS = 1024
 
 
 def _usable_cpus() -> int:
@@ -200,7 +212,7 @@ def _usable_cpus() -> int:
 
 
 def _shared_rows(shape: tuple[int, ...]) -> np.ndarray:
-    """Float array of ``shape`` in anonymous shared memory.
+    """Float array of ``shape`` in anonymous shared memory, all zeros.
 
     The mapping is ``MAP_SHARED``, so a forked child writes into the pages
     this process reads. ``mmap`` refuses length 0, hence the one-byte floor
@@ -210,18 +222,50 @@ def _shared_rows(shape: tuple[int, ...]) -> np.ndarray:
     return np.frombuffer(mmap.mmap(-1, max(8 * count, 1)), dtype=float, count=count).reshape(shape)
 
 
-def _fill(one, seed: int, rows: np.ndarray, start: int) -> None:
-    """``rows[i] = one(stream start + i)`` for every row of ``rows``."""
-    for i, gen in enumerate(streams(seed, range(start, start + len(rows)))):
+def _fill(one, seed: int, rows: np.ndarray, indices: Iterable[int]) -> None:
+    """``rows[i] = one(stream i)`` for every ``i`` of ``indices``, taken lazily."""
+    indices, keys = itertools.tee(indices)
+    for i, gen in zip(indices, streams(seed, keys)):
         rows[i] = one(gen)
 
 
-def _fork_shard(one, seed: int, rows: np.ndarray, start: int) -> int | None:
-    """Fork a child that fills ``rows``, a view of a shared array, in place.
+def _chunk_rows(k: int, chunk: int, stop: int) -> range:
+    """Stream indices of chunk ``k``: rows ``1..stop-1`` cut into runs of ``chunk``."""
+    return range(1 + k * chunk, min(1 + (k + 1) * chunk, stop))
+
+
+def _drain(one, seed: int, rows: np.ndarray, queue: int, claims: np.ndarray, worker: int,
+           chunk: int) -> None:
+    """Draw every chunk read from the pipe ``queue`` until its end.
+
+    Each chunk is marked ``worker``'s in ``claims`` before its first row is
+    drawn. If ``one`` raises, the chunk it raised in is marked unclaimed
+    again before the exception propagates.
+    """
+    current = None
+
+    def indices():
+        nonlocal current
+        while record := os.read(queue, 4):
+            current = int.from_bytes(record, "little")
+            claims[current] = worker
+            yield from _chunk_rows(current, chunk, len(rows))
+
+    try:
+        _fill(one, seed, rows, indices())
+    except Exception:
+        if current is not None:
+            claims[current] = 0
+        raise
+
+
+def _fork_worker(one, seed: int, rows: np.ndarray, queue: int, claims: np.ndarray, worker: int,
+                 chunk: int) -> int | None:
+    """Fork a child that drains ``queue`` into ``rows``, a shared array.
 
     Returns the child's pid, or None when no child could be started. The
     child never returns into the caller: it ends in ``os._exit``, with
-    status 0 only after its last row.
+    status 0 only after the queue's end.
     """
     try:
         pid = os.fork()
@@ -230,7 +274,7 @@ def _fork_shard(one, seed: int, rows: np.ndarray, start: int) -> int | None:
     if pid == 0:
         status = 1
         try:
-            _fill(one, seed, rows, start)
+            _drain(one, seed, rows, queue, claims, worker, chunk)
             status = 0
         finally:
             os._exit(status)
@@ -251,45 +295,64 @@ def replicate(
     generator past its call. Callers reduce the stacked rows as whole
     arrays afterwards.
 
-    The result lives in anonymous shared memory and is split into
-    contiguous shards, one per usable CPU and each at least ``_MIN_SHARD``
-    long; forked children write the later shards straight into it while
-    this process fills the first. ``one`` must therefore be a pure function
-    of its generator, since it may run in another process. The rows are
-    the same for any split. A child's exit status is its only message: a
-    shard whose child cannot be started or does not exit with 0 is drawn
-    again here, over any rows it left, so an exception from ``one`` reaches
-    the caller as in a serial run. Runs serially when there is one worker,
-    no ``os.fork``, or more than one live thread.
+    The result lives in anonymous shared memory. Rows ``1..replications-1``
+    are cut into chunks of ``_CHUNK`` (more when there would be over
+    ``_MAX_CHUNKS``), whose numbers are written to one pipe, the queue.
+    This process and forked children, one worker per usable CPU with at
+    least ``_MIN_SHARD`` replications each, read chunk numbers from the
+    queue until its end and write each chunk's rows straight into the
+    result. ``one`` must therefore be a pure function of its generator,
+    since it may run in another process. The rows are the same whichever
+    worker draws a chunk. A worker marks each chunk it claims in a shared
+    array, and a child's exit status is its only message. After reaping
+    every child, this process draws again, in increasing stream order,
+    each chunk that no worker claimed, that a child which did not exit with
+    0 claimed, or in which ``one`` raised here. So an exception from ``one``
+    reaches the caller as in a serial run. Runs serially when there is one
+    worker, no ``os.fork``, or more than one live thread, and on its own
+    when no child could be forked.
     """
-    if replications < 1:
-        raise DomainError("invalid-parameter", "replications must be >= 1")
+    replications = _require_count("replications", replications)
     row = one(next(streams(seed, [0])))
     rows = _shared_rows((replications, *np.shape(row)))
     rows[0] = row
     workers = min(_usable_cpus(), replications // _MIN_SHARD)
     if workers <= 1 or not hasattr(os, "fork") or threading.active_count() > 1:
-        _fill(one, seed, rows[1:], 1)
+        _fill(one, seed, rows, range(1, replications))
         return rows
-    edges = [replications * k // workers for k in range(workers + 1)]
-    children = []  # (start, stop, pid or None when not forked)
+    chunk = max(_CHUNK, -(-(replications - 1) // _MAX_CHUNKS))
+    n_chunks = -(-(replications - 1) // chunk)
+    claims = _shared_rows((n_chunks,))  # the claiming worker's number, 0 while unclaimed
+    children = {}  # worker number -> pid; this process is worker 1
+    queue, feed = os.pipe()
     try:
-        for start, stop in zip(edges[1:-1], edges[2:]):
-            children.append((start, stop, _fork_shard(one, seed, rows[start:stop], start)))
-        _fill(one, seed, rows[1 : edges[1]], 1)
-        while children:
-            start, stop, pid = children[0]
-            delivered = (
-                pid is not None and os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
-            )
-            del children[0]
-            if not delivered:
-                _fill(one, seed, rows[start:stop], start)
+        try:
+            os.write(feed, np.arange(n_chunks, dtype="<u4").tobytes())
+        finally:
+            os.close(feed)
+        for worker in range(2, workers + 1):
+            pid = _fork_worker(one, seed, rows, queue, claims, worker, chunk)
+            if pid is None:
+                break
+            children[worker] = pid
+        try:
+            _drain(one, seed, rows, queue, claims, 1, chunk)
+        except Exception:
+            pass  # its chunk is unclaimed again, and raises again when drawn below
+        lost = [0]
+        for worker, pid in list(children.items()):
+            if os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) != 0:
+                lost.append(worker)
+            del children[worker]
+        redraw = np.flatnonzero(np.isin(claims, lost)).tolist()
+        _fill(one, seed, rows, itertools.chain.from_iterable(
+            _chunk_rows(k, chunk, replications) for k in redraw
+        ))
     finally:
-        for _, _, pid in children:
-            if pid is not None:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+        os.close(queue)
+        for pid in children.values():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
     return rows
 
 
@@ -321,8 +384,9 @@ def run_nb2_experiment(
     params = list(params)
     theoretical = control_limit(tweedie_variance(params), alpha_level)
     means = np.array([q.mu for q in params])
-    draw = _nb2_replication_sampler(params)
-    devs = _max_abs_prefix_deviation(replicate(draw, replications, seed), means)
+    draw = _nb2_replication_sampler([params])
+    rows = replicate(lambda gen: draw(gen)[0], replications, seed)
+    devs = _max_abs_prefix_deviation(rows, means)
     return summarize_deviations(devs, theoretical), DeviationSamples(devs)
 
 
@@ -393,6 +457,7 @@ def efficiency_curve(
     """
     if len(kappa_grid) == 0:
         raise DomainError("invalid-parameter", "kappa_grid must be nonempty")
+    n = _require_count("n", n)
     curve = []
     for kappa in kappa_grid:
         params = [NB2Params(base_mu, kappa)] * n

@@ -26,8 +26,8 @@ from typing import Sequence
 from ._lazy import np
 from ._text import read_text, write_rows
 from .bounds import control_limit
-from .distributions import NB2Params, _pairwise_sum, _plain_sum, sample_nb2
-from .errors import DomainError, _require_nonnegative, _require_positive
+from .distributions import NB2Params, _nb2_replication_sampler, _pairwise_sum, _plain_sum
+from .errors import DomainError, _require_count, _require_nonnegative, _require_positive
 from .simulation import (
     SimulationSummary,
     _max_abs_prefix_deviation,
@@ -84,8 +84,7 @@ class EpiScenario:
         regions = tuple(regions)
         if not regions:
             raise DomainError("invalid-parameter", "scenario needs at least one region")
-        if not weeks >= 1:
-            raise DomainError("invalid-parameter", f"weeks must be >= 1, got {weeks}")
+        weeks = _require_count("weeks", weeks)
         named = tuple(
             r if r.id else Region(r.weekly_mu, r.kappa, f"region_{i + 1}")
             for i, r in enumerate(regions)
@@ -96,7 +95,7 @@ class EpiScenario:
                 raise DomainError("invalid-parameter", f"duplicate region id {r.id!r}")
             seen.add(r.id)
         object.__setattr__(self, "regions", named)
-        object.__setattr__(self, "weeks", int(weeks))
+        object.__setattr__(self, "weeks", weeks)
 
     def cumulative_mean(self, j: int) -> float:
         return self.weeks * self.regions[j].weekly_mu
@@ -156,15 +155,13 @@ class MonitoringState:
 
 def start_monitoring(limit: float, horizon: int) -> MonitoringState:
     _require_positive("control limit", limit)
-    if horizon < 1:
-        raise DomainError("invalid-parameter", f"horizon must be >= 1, got {horizon}")
     return MonitoringState(
         period_index=0,
         cumulative_deviation=0.0,
         control_limit=float(limit),
         alarm=False,
         history=(),
-        horizon=int(horizon),
+        horizon=_require_count("horizon", horizon),
     )
 
 
@@ -223,12 +220,13 @@ def epi_max_deviations(
     params = [NB2Params(r.weekly_mu, r.kappa) for r in scenario.regions]
     mus = np.array([q.mu for q in params])
     n_regions = len(params)
+    # one block of weeks per region, as sample_nb2(q, gen, size=weeks) draws it
+    draw = _nb2_replication_sampler([[q] * scenario.weeks for q in params])
 
-    def one(gen: np.random.Generator) -> np.ndarray:
-        # drawn region by region, one row of weeks each; returns the regions'
-        # horizon totals, then the weekly all-region totals
-        counts = np.array([sample_nb2(q, gen, size=scenario.weeks) for q in params])
-        return np.concatenate((counts.sum(axis=1), counts.sum(axis=0)))
+    def one(gen: np.random.Generator) -> list:
+        # the regions' horizon totals, then the weekly all-region totals
+        counts = draw(gen)
+        return [*map(sum, counts), *map(sum, zip(*counts))]
 
     sums = replicate(one, replications, seed)
     return {

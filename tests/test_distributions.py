@@ -250,9 +250,9 @@ class TestSampling:
         # one mapping: n draws of sample_nb2 are the row the Monte Carlo
         # kernel draws for n copies of the variable, gamma parameters included
         n = 12
-        draw = _nb2_replication_sampler([nb2] * n)
+        draw = _nb2_replication_sampler([[nb2] * n])
         for i in range(3):
-            row = draw(RngHandle(42, i).generator())
+            (row,) = draw(RngHandle(42, i).generator())
             np.testing.assert_array_equal(sample_nb2(nb2, RngHandle(42, i), size=n), row)
         public, kernel = _RecordingGenerator(), _RecordingGenerator()
         sample_nb2(nb2, public, size=n)

@@ -24,6 +24,7 @@ from nbbounds import (
     NBParams,
     OptimizerDiagnostics,
     Region,
+    RngHandle,
     bernstein_dependent_bound,
     chernoff_mean_deviation_bound,
     control_limit,
@@ -674,3 +675,62 @@ def test_chernoff_minimum_matches_decimal_objective(seed):
     else:
         error = abs(Decimal(math.log(result.raw_value)) - value)
         assert error <= tolerance, (float(error), float(scale))
+
+
+class _CountingGenerator:
+    """Delegates to a generator and counts its ``poisson`` calls."""
+
+    def __init__(self, gen):
+        self._gen = gen
+        self.poisson_calls = 0
+
+    def gamma(self, shape, scale, size=None):
+        return self._gen.gamma(shape, scale, size=size)
+
+    def poisson(self, lam, size=None):
+        self.poisson_calls += 1
+        return self._gen.poisson(lam, size=size)
+
+
+def _array_block_draw(gen, kappas, mus):
+    """A block drawn with array parameters only: gammas, their Poissons,
+    then the Poissons of the ``kappa == 0`` variables."""
+    over = kappas > 0.0
+    counts = np.zeros(len(kappas))
+    if over.any():
+        counts[over] = gen.poisson(gen.gamma(1.0 / kappas[over], (kappas * mus)[over]))
+    if not over.all():
+        counts[~over] = gen.poisson(mus[~over])
+    return counts
+
+
+@PROPERTY_SETTINGS
+@given(
+    n=st.integers(1, 2 * distributions._MIN_POISSON_ARRAY + 4),
+    kappa_kind=st.sampled_from(["constant", "varying", "with zeros"]),
+    constant_mu=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_block_sampler_equals_array_draw(n, kappa_kind, constant_mu, seed):
+    # below the crossover the Poissons are drawn by one scalar call per
+    # count, at and above it by one array call; both draw the array's integers
+    rng = random.Random(seed)
+    mus = np.array([rng.uniform(0.5, 500.0)] * n if constant_mu else
+                   [rng.uniform(0.5, 500.0) for _ in range(n)])
+    if kappa_kind == "constant":
+        kappas = np.full(n, rng.uniform(0.01, 2.0))
+    else:
+        kappas = np.array([rng.uniform(0.01, 2.0) for _ in range(n)])
+        if kappa_kind == "with zeros":
+            kappas[[rng.random() < 0.4 or i == 0 for i in range(n)]] = 0.0
+    block = [NB2Params(mu, kappa) for mu, kappa in zip(mus.tolist(), kappas.tolist())]
+    draw = distributions._nb2_replication_sampler([block])
+    n_over = int((kappas > 0.0).sum())
+    scalar = 0 < n_over < distributions._MIN_POISSON_ARRAY
+    for i in range(3):
+        gen = _CountingGenerator(RngHandle(seed, i).generator())
+        (got,) = draw(gen)
+        expected = _array_block_draw(RngHandle(seed, i).generator(), kappas, mus)
+        assert np.array_equal(np.asarray(got, dtype=float), expected)
+        if n_over == n:  # no kappa == 0 variable: only the gammas' Poissons
+            assert gen.poisson_calls == (n if scalar else 1)

@@ -1,5 +1,8 @@
+import math
 import os
+import signal
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -147,7 +150,7 @@ class TestIndependentExperiment:
         kappas = np.array([q.kappa for q in params])
         mus = np.array([q.mu for q in params])
         over = kappas > 0.0
-        draw = _nb2_replication_sampler(params)
+        draw = _nb2_replication_sampler([params])
         for i in range(5):
             gen = RngHandle(SEED, i).generator()
             expected = np.zeros(len(params))
@@ -156,7 +159,7 @@ class TestIndependentExperiment:
                 expected[over] = gen.poisson(g)
             if not over.all():
                 expected[~over] = gen.poisson(mus[~over])
-            assert np.array_equal(draw(RngHandle(SEED, i).generator()), expected)
+            assert np.array_equal(draw(RngHandle(SEED, i).generator())[0], expected)
 
     def test_replication_prefix_is_stable(self, design):
         # replication i depends only on stream i, so a longer run extends a
@@ -168,12 +171,18 @@ class TestIndependentExperiment:
 
     def test_rejects_zero_replications(self, design):
         for run in (
-            lambda: run_independent_experiment(design.independent, 0, 0.05, SEED),
-            lambda: run_dependent_experiment(design.mixture, 0, 0.05, SEED),
-            lambda: run_epi_validation(reference_scenario(), 0, 0.05, SEED),
+            lambda reps: run_independent_experiment(design.independent, reps, 0.05, SEED),
+            lambda reps: run_dependent_experiment(design.mixture, reps, 0.05, SEED),
+            lambda reps: run_epi_validation(reference_scenario(), reps, 0.05, SEED),
+            lambda reps: epi_max_deviations(reference_scenario(), reps, SEED),
         ):
             with pytest.raises(DomainError, match="replications must be >= 1"):
-                run()
+                run(0)
+            # a count that is not a whole number is named, never truncated
+            for bad in (600.0, 2.5, "600"):
+                got = f"must be a whole number, got {bad!r}$"
+                with pytest.raises(DomainError, match=f"^invalid-parameter: replications {got}"):
+                    run(bad)
 
 
 SHARD_REPS = 1001  # splits unevenly across 2 and 3 workers
@@ -241,8 +250,10 @@ class TestShardedReplicate:
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_raw_rows_equal_serial(self, design, forks, monkeypatch, workers):
-        draw = _nb2_replication_sampler([q.to_nb2() for q in design.independent])
-        got = self._assert_sharded_equals_serial(monkeypatch, forks, draw, workers)
+        draw = _nb2_replication_sampler([[q.to_nb2() for q in design.independent]])
+        got = self._assert_sharded_equals_serial(
+            monkeypatch, forks, lambda gen: draw(gen)[0], workers
+        )
         assert got.shape == (SHARD_REPS, 20)
 
     @pytest.mark.parametrize("workers", [1, 3])
@@ -288,13 +299,14 @@ class TestShardedReplicate:
     @pytest.mark.parametrize("workers", [2, 3])
     def test_child_that_dies_midway_is_redrawn(self, forks, monkeypatch, workers):
         parent = os.getpid()
-        edges = [SHARD_REPS * k // workers for k in range(workers + 1)]
-        # dying after half its rows, a child leaves NaN rows up to its shard's midpoint
-        midpoints = {(start + stop) // 2 for start, stop in zip(edges[1:-1], edges[2:])}
+        chunk = simulation._CHUNK
+        # dying halfway through the first chunk it claims, whichever that is,
+        # a child leaves NaN rows up to that chunk's midpoint
+        midway = chunk // 2
 
         def one(gen):
             if os.getpid() != parent:
-                if _stream_index(gen) in midpoints:
+                if (_stream_index(gen) - 1) % chunk == midway:
                     os._exit(3)
                 return np.full(2, np.nan)
             return gen.standard_normal(2)
@@ -303,15 +315,27 @@ class TestShardedReplicate:
 
     def test_error_in_parent_shard_reaps_children(self, forks, monkeypatch):
         parent = os.getpid()
+        # each child waits on its first row until the parent has raised, so
+        # the parent claims a chunk and raises in it under any schedule
+        gate, opener = os.pipe()
+        waited = []
 
         def one(gen):
-            if os.getpid() == parent and _stream_index(gen) == 5:
-                raise DomainError("invalid-parameter", "parent")
+            if os.getpid() == parent:
+                if _stream_index(gen) >= 1:  # every row drawn after the forks
+                    os.write(opener, b"go")  # one byte for each of the two children
+                    raise DomainError("invalid-parameter", "parent")
+            elif not waited:
+                waited.append(os.read(gate, 1))
             return _uniform(gen)
 
         self._workers(monkeypatch, 3)
-        with pytest.raises(DomainError, match="parent"):
-            replicate(one, SHARD_REPS, SEED)
+        try:
+            with pytest.raises(DomainError, match="parent"):
+                replicate(one, SHARD_REPS, SEED)
+        finally:
+            os.close(gate)
+            os.close(opener)
         assert len(forks) == 2
 
     @pytest.fixture(scope="class")
@@ -332,6 +356,59 @@ class TestShardedReplicate:
         monkeypatch.delattr(os, "fork")
         self._workers(monkeypatch, 3)
         assert np.array_equal(replicate(_uniform, SHARD_REPS, SEED), uniform_serial)
+
+    def test_parent_draws_the_chunks_of_a_slow_child(self, uniform_serial, forks, monkeypatch):
+        parent = os.getpid()
+        drawn_here, slept = [], []
+
+        def one(gen):
+            if os.getpid() == parent:
+                drawn_here.append(_stream_index(gen))
+            elif not slept:
+                slept.append(time.sleep(0.3))  # on the child's first row
+            return gen.random()
+
+        self._workers(monkeypatch, 2)
+        got = replicate(one, SHARD_REPS, SEED)
+        assert np.array_equal(got, uniform_serial)
+        assert len(forks) == 1
+        chunks = {(i - 1) // simulation._CHUNK for i in drawn_here if i >= 1}
+        assert len(chunks) > math.ceil((SHARD_REPS - 1) / simulation._CHUNK) / 2
+
+    def test_more_workers_than_cpus(self, uniform_serial, forks, monkeypatch):
+        monkeypatch.setattr(simulation, "_usable_cpus", lambda: 8)
+        monkeypatch.setattr(simulation, "_MIN_SHARD", 100)
+
+        def expire(signum, frame):
+            raise TimeoutError("replicate ran past its deadline")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(60)  # a hang fails the test instead of the run
+        try:
+            start = time.perf_counter()
+            got = replicate(_uniform, SHARD_REPS, SEED)
+            elapsed = time.perf_counter() - start
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert np.array_equal(got, uniform_serial)
+        assert len(forks) == 7
+        assert elapsed < 10.0
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+    def test_no_descriptor_left_open(self, forks, monkeypatch):
+        def failing(gen):
+            if _stream_index(gen) == 700:
+                raise DomainError("invalid-parameter", "stream 700")
+            return gen.random()
+
+        self._workers(monkeypatch, 3)
+        before = sorted(os.listdir("/proc/self/fd"))
+        replicate(_uniform, SHARD_REPS, SEED)
+        with pytest.raises(DomainError, match="stream 700$"):
+            replicate(failing, SHARD_REPS, SEED)
+        assert sorted(os.listdir("/proc/self/fd")) == before
+        assert len(forks) == 4
 
     def test_serial_with_a_live_thread(self, uniform_serial, monkeypatch):
         def fork():
@@ -379,11 +456,11 @@ class TestArrayReductions:
         _, indep = run_independent_experiment(design.independent, reps, 0.05, SEED)
         _, dep = run_dependent_experiment(design.mixture, reps, 0.05, SEED)
         nb2 = [q.to_nb2() for q in design.independent]
-        draw = _nb2_replication_sampler(nb2)
+        draw = _nb2_replication_sampler([nb2])
         indep_means = np.array([q.mu for q in nb2])
         dep_means = design.mixture.marginal_means()
         for i in range(reps):
-            counts = draw(RngHandle(SEED, i).generator())
+            (counts,) = draw(RngHandle(SEED, i).generator())
             assert indep.max_abs_dev[i] == _scalar_max_abs_prefix_deviation(counts, indep_means)
             lam, counts = sample_mixture_counts(design.mixture, RngHandle(SEED, i).generator())
             assert dep.max_abs_dev[i] == _scalar_max_abs_prefix_deviation(counts, dep_means)
@@ -503,3 +580,6 @@ class TestEfficiencyCurve:
     def test_rejects_empty_grid(self):
         with pytest.raises(DomainError):
             efficiency_curve((), 5.0, 10, 100, SEED)
+        for bad, message in ((20.5, "a whole number, got 20.5"), (0, ">= 1, got 0")):
+            with pytest.raises(DomainError, match=f"^invalid-parameter: n must be {message}$"):
+                efficiency_curve((0.1,), 5.0, bad, 100, SEED)

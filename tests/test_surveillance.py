@@ -56,6 +56,19 @@ class TestScenario:
                 Region(bad, 0.2)
             with pytest.raises(DomainError, match=f"^invalid-parameter: control limit {got}"):
                 start_monitoring(bad, 12)
+        # a count that is not a whole number is named, never truncated
+        for bad in (12.9, 12.0, "12", None):
+            got = f"must be a whole number, got {bad!r}$"
+            with pytest.raises(DomainError, match=f"^invalid-parameter: weeks {got}"):
+                EpiScenario([Region(210, 0.35)], bad)
+            with pytest.raises(DomainError, match=f"^invalid-parameter: horizon {got}"):
+                start_monitoring(100.0, bad)
+        with pytest.raises(DomainError, match="^invalid-parameter: horizon must be >= 1, got 0$"):
+            start_monitoring(100.0, 0)
+        with pytest.raises(DomainError, match="^invalid-parameter: weeks must be >= 1, got -3$"):
+            EpiScenario([Region(210, 0.35)], -3)
+        assert EpiScenario([Region(210, 0.35)], np.int64(3)).weeks == 3
+        assert start_monitoring(100.0, np.int64(2)).horizon == 2
 
     @pytest.mark.parametrize(
         "regions, duplicate",
@@ -222,16 +235,22 @@ class TestEpiValidation:
 
     def test_columns_equal_per_replication_recomputation(self, scenario):
         reps = 20
-        columns = epi_max_deviations(scenario, reps, SEED)
-        mus = np.array([r.weekly_mu for r in scenario.regions])
-        params = [NB2Params(r.weekly_mu, r.kappa) for r in scenario.regions]
-        for i in range(reps):
-            gen = RngHandle(SEED, i).generator()
-            counts = np.column_stack([sample_nb2(q, gen, size=scenario.weeks) for q in params])
-            by_region = counts.sum(axis=0) - scenario.weeks * mus
-            by_week = counts.sum(axis=1) - mus.sum()
-            assert columns["region-prefix"][i] == np.abs(np.cumsum(by_region)).max()
-            assert columns["time-prefix"][i] == np.abs(np.cumsum(by_week)).max()
+        # 52 weeks draw each region's Poissons by one array call, 12 by one
+        # scalar call per week; a kappa == 0 region draws Poissons only
+        poisson_region = EpiScenario(
+            [Region(120.0, 0.3), Region(45.0, 0.0), Region(300.0, 0.15)], weeks=52
+        )
+        for scenario in (scenario, poisson_region):
+            columns = epi_max_deviations(scenario, reps, SEED)
+            mus = np.array([r.weekly_mu for r in scenario.regions])
+            params = [NB2Params(r.weekly_mu, r.kappa) for r in scenario.regions]
+            for i in range(reps):
+                gen = RngHandle(SEED, i).generator()
+                counts = np.column_stack([sample_nb2(q, gen, size=scenario.weeks) for q in params])
+                by_region = counts.sum(axis=0) - scenario.weeks * mus
+                by_week = counts.sum(axis=1) - mus.sum()
+                assert columns["region-prefix"][i] == np.abs(np.cumsum(by_region)).max()
+                assert columns["time-prefix"][i] == np.abs(np.cumsum(by_week)).max()
 
     def test_unknown_mode_rejected(self, scenario):
         with pytest.raises(DomainError):
