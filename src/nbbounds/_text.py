@@ -22,13 +22,13 @@ from .errors import DomainError
 
 def read_text(source, label: str, newline: str | None = None) -> str:
     """All of ``source``: a path (a ``str`` or ``os.PathLike``), read as
-    UTF-8 with ``newline`` passed to ``open``, or an open stream, read as it
-    is. A source that cannot be read, or is not UTF-8, raises
-    ``invalid-parameter`` naming ``label``."""
+    UTF-8 with ``newline`` passed to ``open`` and a leading byte-order mark
+    dropped, or an open stream, read as it is. A source that cannot be
+    read, or is not UTF-8, raises ``invalid-parameter`` naming ``label``."""
     try:
         if not isinstance(source, (str, os.PathLike)):
             return source.read()
-        with open(os.fspath(source), encoding="utf-8", newline=newline) as fh:
+        with open(os.fspath(source), encoding="utf-8-sig", newline=newline) as fh:
             return fh.read()
     except OSError as exc:
         raise DomainError("invalid-parameter", f"cannot read {label}: {exc}") from exc

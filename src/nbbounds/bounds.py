@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from ._lazy import np
-from .distributions import _BOX_HI, _BOX_LO, GammaMixture, NBParams, NB2Params, _plain_sum, _product
+from .distributions import GammaMixture, NBParams, NB2Params, _in_box, _plain_sum, _product
 from .errors import DomainError, _require_positive
 
 __all__ = [
@@ -242,7 +242,7 @@ def control_limit(v_n: float, alpha_level: float) -> float:
     """
     _require_positive("v_n", v_n)
     _require_level(alpha_level)
-    if _BOX_LO <= v_n <= _BOX_HI and _BOX_LO <= alpha_level:
+    if _in_box(v_n, alpha_level):
         limit = math.sqrt(v_n / alpha_level)
     else:
         limit = math.sqrt(v_n) / math.sqrt(alpha_level)
@@ -262,7 +262,7 @@ def kolmogorov_independent_bound(params: Sequence[NBParams], lam: float) -> Boun
     params = _nonempty(params)
     _require_positive("lambda", lam)
     total = _plain_sum(q.variance() for q in params)
-    if _BOX_LO <= total <= _BOX_HI and _BOX_LO <= lam <= _BOX_HI:
+    if _in_box(total, lam):
         raw = total / lam**2
     else:
         raw = _plain_sum(_product([q.r, 1.0 - q.p], [q.p, q.p, lam, lam]) for q in params)
@@ -281,8 +281,7 @@ def dependent_kolmogorov_bound(model: GammaMixture, lam: float) -> BoundResult:
     alpha, beta = model.gamma_shape, model.gamma_rate
     theta_n = model.total_theta()
     m = model.max_prefix()
-    if (_BOX_LO <= alpha <= _BOX_HI and _BOX_LO <= beta <= _BOX_HI and _BOX_LO <= lam <= _BOX_HI
-            and _BOX_LO <= theta_n <= _BOX_HI and _BOX_LO <= m <= _BOX_HI):
+    if _in_box(alpha, beta, lam, theta_n, m):
         lam2 = lam**2
         cond_term = 4.0 * (alpha / beta) * theta_n / lam2
         mix_term = 4.0 * m**2 * alpha / (beta**2 * lam2)
@@ -304,8 +303,7 @@ def bernstein_dependent_bound(model: GammaMixture, lam: float) -> BoundResult:
     alpha, beta = model.gamma_shape, model.gamma_rate
     theta_n = model.total_theta()
     m = model.max_prefix()
-    if (_BOX_LO <= alpha <= _BOX_HI and _BOX_LO <= beta <= _BOX_HI and _BOX_LO <= lam <= _BOX_HI
-            and _BOX_LO <= theta_n <= _BOX_HI and _BOX_LO <= m <= _BOX_HI):
+    if _in_box(alpha, beta, lam, theta_n, m):
         lam2 = lam**2
         cond_exponent = lam2 / 16.0 / (alpha * theta_n / beta + lam / 6.0)
         quadratic = lam2 * beta**2 / (32.0 * m**2 * alpha)

@@ -2,8 +2,11 @@
 
 Every sampler of the package lives here, with the NB2 mapping: an NB2
 ``(mu, kappa)`` count is ``Poisson(Gamma(shape=1/kappa, scale=kappa*mu))``,
-and ``Poisson(mu)`` at ``kappa == 0``. No other module calls a generator's
-``gamma`` or ``poisson``.
+and ``Poisson(mu)`` at ``kappa == 0``. The order in which NB2 counts take
+their draws from a stream is written once, in ``_nb2_sampler``:
+:func:`sample_nb2` and every NB2 Monte Carlo experiment draw through it.
+No other module calls a generator's ``gamma`` or ``poisson`` (a CI step
+checks this).
 
 Two NB parameterizations are supported with exact interconversion: the
 classical ``(r, p)`` form (``r`` successes, success probability ``p``; ``r``
@@ -68,7 +71,7 @@ class NBParams:
 
     def variance(self) -> float:
         r, p = self.r, self.p
-        if _BOX_LO <= r <= _BOX_HI and _BOX_LO <= p:
+        if _in_box(r, p):
             return r * (1.0 - p) / p**2
         return _product([r, 1.0 - p], [p, p])
 
@@ -100,7 +103,7 @@ class NB2Params:
         return self.mu
 
     def variance(self) -> float:
-        if _BOX_LO <= self.mu <= _BOX_HI and _BOX_LO <= self.kappa <= _BOX_HI:
+        if _in_box(self.mu, self.kappa):
             return self.mu + self.kappa * self.mu**2
         return self.mu + _product([self.kappa, self.mu, self.mu], [])
 
@@ -109,6 +112,14 @@ class NB2Params:
 # factor lies in [_BOX_LO, _BOX_HI], and otherwise by _product.
 _BOX_LO = 2.0**-255
 _BOX_HI = 2.0**255
+
+
+def _in_box(*factors) -> bool:
+    """Whether every factor lies in ``[_BOX_LO, _BOX_HI]`` (NaN does not)."""
+    for value in factors:
+        if not _BOX_LO <= value <= _BOX_HI:
+            return False
+    return True
 
 
 def _product(numerators, denominators) -> float:
@@ -257,8 +268,7 @@ class GammaMixture:
 
     def marginal_variance(self, i: int) -> float:
         shape, rate, theta = self.gamma_shape, self.gamma_rate, self.thetas[i]
-        if (_BOX_LO <= shape <= _BOX_HI and _BOX_LO <= rate <= _BOX_HI
-                and _BOX_LO <= theta <= _BOX_HI):
+        if _in_box(shape, rate, theta):
             return shape * theta * (rate + theta) / rate**2
         return _product([shape, theta, rate + theta], [rate, rate])
 
@@ -315,17 +325,16 @@ def sample_nb2(
     rng: RngHandle | np.random.Generator,
     size: int | None = None,
 ):
-    """Draw from NB2(mu, kappa): ``size`` draws equal the block that
-    :func:`_nb2_replication_sampler` draws for ``size`` copies of ``params``."""
-    gen = as_generator(rng)
-    rate = params.mu  # the Poisson limit, kappa == 0
-    if params.kappa > 0.0:
-        rate = gen.gamma(1.0 / params.kappa, params.kappa * params.mu, size=size)
-    draw = gen.poisson(rate, size=size)
-    return int(draw) if size is None else draw
+    """Draw from NB2(mu, kappa) through :func:`_nb2_sampler`, so ``size``
+    draws are what the Monte Carlo kernel draws for ``size`` copies of
+    ``params``. With ``size=None`` returns a single integer; otherwise an
+    integer array."""
+    k = 1 if size is None else size
+    draw = _nb2_sampler(np.full(k, params.mu), np.full(k, params.kappa))(as_generator(rng))
+    return int(draw[0]) if size is None else np.asarray(draw).reshape(k)
 
 
-# Fewest Poisson means worth one array call. numpy checks an array of means
+# Fewest gamma Poissons worth one array call. numpy checks an array of means
 # in Python (two ``np.all`` calls, about 5.5 us per call) and a scalar mean
 # in C. On a 2-vCPU host one array call of 12 means took 7.7 us and 12
 # scalar calls 5.7 us; at 20 means the array call was faster (7.9 us
@@ -340,74 +349,43 @@ def _scalar_if_constant(values: np.ndarray):
     way, so the draws are identical; a scalar parameter skips the checks
     numpy runs in Python on every array parameter of every call.
     """
-    return float(values[0]) if values.size and np.all(values == values[0]) else values
+    return float(values[0]) if values.size and (values == values[0]).all() else values
 
 
-def _poisson_sampler(size: int):
-    """``draw(gen, means)``: the counts ``gen.poisson(means)`` draws for an
-    array of ``size`` means, by one scalar call per mean below
-    ``_MIN_POISSON_ARRAY``."""
-    if size < _MIN_POISSON_ARRAY:
-        return lambda gen, means: [gen.poisson(m) for m in means.tolist()]
-    return lambda gen, means: gen.poisson(means)
-
-
-def _nb2_block_sampler(block: Sequence[NB2Params]):
-    """``draw(gen)``: one count per variable of ``block``, in block order.
+def _nb2_sampler(mus: np.ndarray, kappas: np.ndarray):
+    """``draw(gen)``: one NB2 count per entry of the float arrays ``mus``
+    and ``kappas``, in their order.
 
     All gammas are drawn first, then their Poissons, then the Poissons of
-    the ``kappa == 0`` variables. A block without such a variable returns
-    the Poissons of its gammas as they come.
+    the ``kappa == 0`` entries in one call. That order defines the
+    stream-to-draw mapping, so per-entry :func:`sample_nb2` calls would not
+    reproduce more than one entry. The counts come as an integer array or a
+    list of ints, or as a float array when ``kappa == 0`` entries sit beside
+    ``kappa > 0`` ones.
     """
-    kappas = np.array([q.kappa for q in block])
-    mus = np.array([q.mu for q in block])
     over = kappas > 0.0
-    n_over, n_poisson = int(over.sum()), int((~over).sum())
+    n_over = int(np.count_nonzero(over))
+    n_poisson = over.size - n_over
     shape = _scalar_if_constant(1.0 / kappas[over])
     scale = _scalar_if_constant((kappas * mus)[over])
-    poissons_of = _poisson_sampler(n_over)
+    mu = _scalar_if_constant(mus[~over])
 
     def gamma_poisson(gen: np.random.Generator):
-        return poissons_of(gen, gen.gamma(shape, scale, size=n_over))
+        rates = gen.gamma(shape, scale, size=n_over)
+        if n_over < _MIN_POISSON_ARRAY:
+            return [gen.poisson(rate) for rate in rates.tolist()]
+        return gen.poisson(rates)
 
     if not n_poisson:
         return gamma_poisson
-    mu = _scalar_if_constant(mus[~over])
-    plain_of = _poisson_sampler(n_poisson)
-
-    def plain(gen: np.random.Generator):
-        if isinstance(mu, float):
-            return gen.poisson(mu, size=n_poisson)
-        return plain_of(gen, mu)
-
     if not n_over:
-        return plain
+        return lambda gen: gen.poisson(mu, size=n_poisson)
 
     def draw(gen: np.random.Generator) -> np.ndarray:
-        counts = np.zeros(len(block))
+        counts = np.zeros(over.size)
         counts[over] = gamma_poisson(gen)
-        counts[~over] = plain(gen)
+        counts[~over] = gen.poisson(mu, size=n_poisson)
         return counts
-
-    return draw
-
-
-def _nb2_replication_sampler(blocks: Sequence[Sequence[NB2Params]]):
-    """Per-replication sampler: ``draw(gen)`` lists one count sequence per block.
-
-    Gamma-Poisson pairs for overdispersed variables, plain Poisson for the
-    kappa == 0 limit. Blocks are drawn in order, and within a block all
-    gammas are drawn before all Poissons; that order defines the
-    stream-to-draw mapping, so per-variable ``sample_nb2`` calls would not
-    reproduce a block of more than one variable. A block of ``k`` copies of
-    one variable draws what ``sample_nb2(q, gen, size=k)`` draws. Each
-    block's counts come as an integer array or a list of ints, or as a float
-    array when the block mixes ``kappa == 0`` with ``kappa > 0``.
-    """
-    samplers = [_nb2_block_sampler(block) for block in blocks]
-
-    def draw(gen: np.random.Generator) -> list:
-        return [sample(gen) for sample in samplers]
 
     return draw
 

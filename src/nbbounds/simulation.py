@@ -37,8 +37,8 @@ from typing import Callable, Iterable, Sequence
 from ._lazy import np
 from .bounds import control_limit, dependent_kolmogorov_bound, invert_bound, tweedie_variance
 from .distributions import GammaMixture, NBParams, NB2Params, sample_mixture_counts
-from .distributions import _nb2_replication_sampler, _pairwise_sum, _plain_sum
-from .errors import DomainError, _require_count
+from .distributions import _nb2_sampler, _pairwise_sum, _plain_sum
+from .errors import DomainError, _require_count, _require_positive
 from .rng import streams
 
 __all__ = [
@@ -98,6 +98,7 @@ def summarize_deviations(devs: np.ndarray, theoretical_lambda: float) -> Simulat
     devs = np.asarray(devs, dtype=float)
     if devs.size == 0:
         raise DomainError("invalid-parameter", "cannot summarize zero replications")
+    _require_positive("theoretical_lambda", theoretical_lambda)
     median, p95, p99 = (float(v) for v in np.percentile(devs, [50.0, 95.0, 99.0]))
     return SimulationSummary(
         replications=int(devs.size),
@@ -308,18 +309,17 @@ def replicate(
     every child, this process draws again, in increasing stream order,
     each chunk that no worker claimed, that a child which did not exit with
     0 claimed, or in which ``one`` raised here. So an exception from ``one``
-    reaches the caller as in a serial run. Runs serially when there is one
-    worker, no ``os.fork``, or more than one live thread, and on its own
-    when no child could be forked.
+    reaches the caller as in a serial run. Forks no child when there is one
+    worker, no ``os.fork``, or more than one live thread; this process then
+    drains the queue alone, as it does when no child could be forked.
     """
     replications = _require_count("replications", replications)
     row = one(next(streams(seed, [0])))
     rows = _shared_rows((replications, *np.shape(row)))
     rows[0] = row
     workers = min(_usable_cpus(), replications // _MIN_SHARD)
-    if workers <= 1 or not hasattr(os, "fork") or threading.active_count() > 1:
-        _fill(one, seed, rows, range(1, replications))
-        return rows
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        workers = 1
     chunk = max(_CHUNK, -(-(replications - 1) // _MAX_CHUNKS))
     n_chunks = -(-(replications - 1) // chunk)
     claims = _shared_rows((n_chunks,))  # the claiming worker's number, 0 while unclaimed
@@ -384,8 +384,7 @@ def run_nb2_experiment(
     params = list(params)
     theoretical = control_limit(tweedie_variance(params), alpha_level)
     means = np.array([q.mu for q in params])
-    draw = _nb2_replication_sampler([params])
-    rows = replicate(lambda gen: draw(gen)[0], replications, seed)
+    rows = replicate(_nb2_sampler(means, np.array([q.kappa for q in params])), replications, seed)
     devs = _max_abs_prefix_deviation(rows, means)
     return summarize_deviations(devs, theoretical), DeviationSamples(devs)
 

@@ -26,7 +26,7 @@ from typing import Sequence
 from ._lazy import np
 from ._text import read_text, write_rows
 from .bounds import control_limit
-from .distributions import NB2Params, _nb2_replication_sampler, _pairwise_sum, _plain_sum
+from .distributions import NB2Params, _nb2_sampler, _pairwise_sum, _plain_sum
 from .errors import DomainError, _require_count, _require_nonnegative, _require_positive
 from .simulation import (
     SimulationSummary,
@@ -220,18 +220,19 @@ def epi_max_deviations(
     params = [NB2Params(r.weekly_mu, r.kappa) for r in scenario.regions]
     mus = np.array([q.mu for q in params])
     n_regions = len(params)
-    # one block of weeks per region, as sample_nb2(q, gen, size=weeks) draws it
-    draw = _nb2_replication_sampler([[q] * scenario.weeks for q in params])
+    # one sampler per region, drawing its weeks as sample_nb2(q, gen, size=weeks) does
+    weeks = scenario.weeks
+    samplers = [_nb2_sampler(np.full(weeks, q.mu), np.full(weeks, q.kappa)) for q in params]
 
     def one(gen: np.random.Generator) -> list:
         # the regions' horizon totals, then the weekly all-region totals
-        counts = draw(gen)
+        counts = [draw(gen) for draw in samplers]
         return [*map(sum, counts), *map(sum, zip(*counts))]
 
     sums = replicate(one, replications, seed)
     return {
         # region-prefix: cumulate each region over the horizon, then prefix over regions
-        "region-prefix": _max_abs_prefix_deviation(sums[:, :n_regions], scenario.weeks * mus),
+        "region-prefix": _max_abs_prefix_deviation(sums[:, :n_regions], weeks * mus),
         # time-prefix: weekly all-region totals, prefix over time
         "time-prefix": _max_abs_prefix_deviation(sums[:, n_regions:], mus.sum()),
     }

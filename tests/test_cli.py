@@ -123,6 +123,15 @@ class TestBoundCommand:
         proc = run_cli(*argv, "--thetas", f"@{crlf}")
         assert (proc.returncode, proc.stdout) == (0, expected.stdout)
 
+    def test_thetas_file_with_bom_reads_as_without(self, tmp_path):
+        argv = ["bound", "bernstein", "--shape", "4", "--rate", "4", "--lambda", "60"]
+        plain, bom = tmp_path / "plain.txt", tmp_path / "bom.txt"
+        plain.write_bytes(b"7\n5\n0.5\n")
+        bom.write_bytes(b"\xef\xbb\xbf7\n5\n0.5\n")
+        expected = run_cli(*argv, "--thetas", f"@{plain}")
+        proc = run_cli(*argv, "--thetas", f"@{bom}")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected.stdout, "")
+
     def test_thetas_file_bad_line_exit_1(self, tmp_path):
         theta_file = tmp_path / "thetas.txt"
         theta_file.write_text("7\n\nfive\n")
@@ -226,6 +235,13 @@ class TestLimitCommand:
         path.write_text(json.dumps({"regions": [], "weeks": 12}))
         proc = run_cli("limit", "--scenario", str(path))
         assert proc.returncode == 1
+
+    def test_scenario_with_bom_reads_as_without(self, scenario_file, tmp_path):
+        bom = tmp_path / "bom.json"
+        bom.write_bytes(b"\xef\xbb\xbf" + Path(scenario_file).read_bytes())
+        expected = run_cli("limit", "--scenario", scenario_file)
+        proc = run_cli("limit", "--scenario", str(bom))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected.stdout, "")
 
     def test_missing_scenario_file_exit_1(self):
         proc = run_cli("limit", "--scenario", "/does/not/exist.json")
@@ -369,6 +385,20 @@ class TestMonitorCommand:
         path.write_bytes(b"region_1,region_2,region_3,region_4,region_5\n1,2,3,4,5\xe9\n")
         proc = run_cli("monitor", "--scenario", scenario_file, "--counts", str(path))
         assert_error_exit_1(proc, "counts file is not UTF-8")
+
+    def test_counts_with_bom_read_as_without(self, tmp_path):
+        # a spreadsheet export starts with a byte-order mark before the first id
+        scenario = tmp_path / "named.json"
+        scenario.write_text(json.dumps({"regions": [{"id": "north", "weekly_mu": 10, "kappa": 0.1},
+                                                    {"id": "south", "weekly_mu": 20, "kappa": 0.1}],
+                                        "weeks": 4}))
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_bytes(b"north,south\n12,18\n9,25\n")
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        expected = run_cli("monitor", "--scenario", str(scenario), "--counts", str(plain))
+        proc = run_cli("monitor", "--scenario", str(scenario), "--counts", str(bom))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected.stdout, "")
+        assert len(proc.stdout.splitlines()) == 3
 
     def test_unwritable_history_exit_1(self, scenario_file, tmp_path):
         out = tmp_path / "missing" / "h.csv"

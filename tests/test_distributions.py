@@ -17,7 +17,7 @@ from nbbounds import (
     sample_nb,
     sample_nb2,
 )
-from nbbounds.distributions import _nb2_replication_sampler
+from nbbounds.distributions import _MIN_POISSON_ARRAY, _nb2_sampler
 
 from helpers import quad_mixture_pmf
 
@@ -248,16 +248,27 @@ class TestSampling:
     )
     def test_sample_nb2_equals_replication_sampler_row(self, nb2):
         # one mapping: n draws of sample_nb2 are the row the Monte Carlo
-        # kernel draws for n copies of the variable, gamma parameters included
-        n = 12
-        draw = _nb2_replication_sampler([[nb2] * n])
+        # kernel draws for n copies of the variable, gamma parameters included;
+        # n runs on both sides of the Poisson array crossover
+        for n in (1, 12, _MIN_POISSON_ARRAY - 1, _MIN_POISSON_ARRAY, 40):
+            draw = _nb2_sampler(np.full(n, nb2.mu), np.full(n, nb2.kappa))
+            for i in range(3):
+                row = draw(RngHandle(42, i).generator())
+                got = sample_nb2(nb2, RngHandle(42, i), size=n)
+                assert got.shape == (n,) and got.dtype.kind == "i"
+                np.testing.assert_array_equal(got, row)
+            public, kernel = _RecordingGenerator(), _RecordingGenerator()
+            sample_nb2(nb2, public, size=n)
+            draw(kernel)
+            assert public.gamma_calls == kernel.gamma_calls
+        # size=None draws the row of n = 1 as a plain int: one scalar gamma
+        # (none at kappa == 0), then one scalar Poisson
         for i in range(3):
-            (row,) = draw(RngHandle(42, i).generator())
-            np.testing.assert_array_equal(sample_nb2(nb2, RngHandle(42, i), size=n), row)
-        public, kernel = _RecordingGenerator(), _RecordingGenerator()
-        sample_nb2(nb2, public, size=n)
-        draw(kernel)
-        assert public.gamma_calls == kernel.gamma_calls
+            one = sample_nb2(nb2, RngHandle(42, i))
+            gen = RngHandle(42, i).generator()
+            rate = gen.gamma(1.0 / nb2.kappa, nb2.kappa * nb2.mu) if nb2.kappa else nb2.mu
+            assert type(one) is int
+            assert one == gen.poisson(rate)
 
     def test_determinism(self):
         h = RngHandle(123, 9)

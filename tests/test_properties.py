@@ -712,8 +712,9 @@ def _array_block_draw(gen, kappas, mus):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_block_sampler_equals_array_draw(n, kappa_kind, constant_mu, seed):
-    # below the crossover the Poissons are drawn by one scalar call per
-    # count, at and above it by one array call; both draw the array's integers
+    # below the crossover the gammas' Poissons are drawn by one scalar call
+    # per count, at and above it by one array call, and the kappa == 0
+    # Poissons by one call; all draw the array's integers
     rng = random.Random(seed)
     mus = np.array([rng.uniform(0.5, 500.0)] * n if constant_mu else
                    [rng.uniform(0.5, 500.0) for _ in range(n)])
@@ -723,14 +724,12 @@ def test_block_sampler_equals_array_draw(n, kappa_kind, constant_mu, seed):
         kappas = np.array([rng.uniform(0.01, 2.0) for _ in range(n)])
         if kappa_kind == "with zeros":
             kappas[[rng.random() < 0.4 or i == 0 for i in range(n)]] = 0.0
-    block = [NB2Params(mu, kappa) for mu, kappa in zip(mus.tolist(), kappas.tolist())]
-    draw = distributions._nb2_replication_sampler([block])
+    draw = distributions._nb2_sampler(mus, kappas)
     n_over = int((kappas > 0.0).sum())
     scalar = 0 < n_over < distributions._MIN_POISSON_ARRAY
     for i in range(3):
         gen = _CountingGenerator(RngHandle(seed, i).generator())
-        (got,) = draw(gen)
+        got = draw(gen)
         expected = _array_block_draw(RngHandle(seed, i).generator(), kappas, mus)
         assert np.array_equal(np.asarray(got, dtype=float), expected)
-        if n_over == n:  # no kappa == 0 variable: only the gammas' Poissons
-            assert gen.poisson_calls == (n if scalar else 1)
+        assert gen.poisson_calls == (n_over if scalar else int(n_over > 0)) + int(n_over < n)

@@ -30,7 +30,7 @@ from nbbounds import (
     summarize_deviations,
 )
 from nbbounds import simulation
-from nbbounds.distributions import _nb2_replication_sampler
+from nbbounds.distributions import _nb2_sampler
 from nbbounds.simulation import _max_abs_prefix_deviation
 
 SEED = 42
@@ -106,6 +106,12 @@ class TestSummary:
         assert s.exceedance_rate == pytest.approx(np.mean(devs >= s.theoretical_lambda))
         assert s.median <= s.p95 <= s.p99
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_a_threshold_that_is_not_positive(self, bad):
+        with pytest.raises(DomainError, match="invalid-parameter: theoretical_lambda") as info:
+            summarize_deviations([1.0, 2.0], bad)
+        assert info.value.code == "invalid-parameter"
+
 
 class TestIndependentExperiment:
     def test_reference_statistics(self, independent_run):
@@ -150,7 +156,7 @@ class TestIndependentExperiment:
         kappas = np.array([q.kappa for q in params])
         mus = np.array([q.mu for q in params])
         over = kappas > 0.0
-        draw = _nb2_replication_sampler([params])
+        draw = _nb2_sampler(mus, kappas)
         for i in range(5):
             gen = RngHandle(SEED, i).generator()
             expected = np.zeros(len(params))
@@ -159,7 +165,7 @@ class TestIndependentExperiment:
                 expected[over] = gen.poisson(g)
             if not over.all():
                 expected[~over] = gen.poisson(mus[~over])
-            assert np.array_equal(draw(RngHandle(SEED, i).generator())[0], expected)
+            assert np.array_equal(draw(RngHandle(SEED, i).generator()), expected)
 
     def test_replication_prefix_is_stable(self, design):
         # replication i depends only on stream i, so a longer run extends a
@@ -250,10 +256,9 @@ class TestShardedReplicate:
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_raw_rows_equal_serial(self, design, forks, monkeypatch, workers):
-        draw = _nb2_replication_sampler([[q.to_nb2() for q in design.independent]])
-        got = self._assert_sharded_equals_serial(
-            monkeypatch, forks, lambda gen: draw(gen)[0], workers
-        )
+        nb2 = [q.to_nb2() for q in design.independent]
+        draw = _nb2_sampler(np.array([q.mu for q in nb2]), np.array([q.kappa for q in nb2]))
+        got = self._assert_sharded_equals_serial(monkeypatch, forks, draw, workers)
         assert got.shape == (SHARD_REPS, 20)
 
     @pytest.mark.parametrize("workers", [1, 3])
@@ -402,13 +407,16 @@ class TestShardedReplicate:
                 raise DomainError("invalid-parameter", "stream 700")
             return gen.random()
 
-        self._workers(monkeypatch, 3)
-        before = sorted(os.listdir("/proc/self/fd"))
-        replicate(_uniform, SHARD_REPS, SEED)
-        with pytest.raises(DomainError, match="stream 700$"):
-            replicate(failing, SHARD_REPS, SEED)
-        assert sorted(os.listdir("/proc/self/fd")) == before
-        assert len(forks) == 4
+        # one worker drains the same queue with no child, and closes it too
+        for workers in (1, 3):
+            self._workers(monkeypatch, workers)
+            before = sorted(os.listdir("/proc/self/fd"))
+            forked = len(forks)
+            replicate(_uniform, SHARD_REPS, SEED)
+            with pytest.raises(DomainError, match="stream 700$"):
+                replicate(failing, SHARD_REPS, SEED)
+            assert sorted(os.listdir("/proc/self/fd")) == before
+            assert len(forks) - forked == 2 * (workers - 1)
 
     def test_serial_with_a_live_thread(self, uniform_serial, monkeypatch):
         def fork():
@@ -456,11 +464,11 @@ class TestArrayReductions:
         _, indep = run_independent_experiment(design.independent, reps, 0.05, SEED)
         _, dep = run_dependent_experiment(design.mixture, reps, 0.05, SEED)
         nb2 = [q.to_nb2() for q in design.independent]
-        draw = _nb2_replication_sampler([nb2])
         indep_means = np.array([q.mu for q in nb2])
+        draw = _nb2_sampler(indep_means, np.array([q.kappa for q in nb2]))
         dep_means = design.mixture.marginal_means()
         for i in range(reps):
-            (counts,) = draw(RngHandle(SEED, i).generator())
+            counts = draw(RngHandle(SEED, i).generator())
             assert indep.max_abs_dev[i] == _scalar_max_abs_prefix_deviation(counts, indep_means)
             lam, counts = sample_mixture_counts(design.mixture, RngHandle(SEED, i).generator())
             assert dep.max_abs_dev[i] == _scalar_max_abs_prefix_deviation(counts, dep_means)
