@@ -174,15 +174,15 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_limit(args) -> int:
-    if args.scenario:
+    if args.scenario is not None:
         scenario, alphas = load_scenario(args.scenario)
         v_n = scenario.tweedie_variance()
-    elif args.params:
+    elif args.params is not None:
         v_n = tweedie_variance(_parse_nb2_params(args.params))
         alphas = [0.05]
     else:
         raise DomainError("invalid-parameter", "either --params or --scenario is required")
-    if args.alpha:
+    if args.alpha is not None:
         alphas = _parse_alphas(args.alpha)
     limits = [(a, control_limit(v_n, a)) for a in alphas]
     if args.format == "delimited":
@@ -199,7 +199,7 @@ def _cmd_reproduce(args) -> int:
         seed = int(np.random.SeedSequence().entropy % (1 << 64))
     table2_reps = args.reps if args.reps is not None else TABLE2_REPLICATIONS
     epi_reps = args.reps if args.reps is not None else EPI_REPLICATIONS
-    out_dir = args.out or os.environ.get(OUT_ENV_VAR) or "."
+    out_dir = args.out if args.out is not None else os.environ.get(OUT_ENV_VAR) or "."
     # an unwritable directory fails here, before any Monte Carlo runs
     with writing_to(out_dir):
         os.makedirs(out_dir, exist_ok=True)
@@ -226,7 +226,7 @@ def _cmd_monitor(args) -> int:
     state = start_monitoring(limit, scenario.weeks)
     for row in counts:
         state = monitor_step(state, row, fitted_mu)
-    if args.out:
+    if args.out is not None:
         with writing_to(args.out), open_output(args.out) as fh:
             write_history(state, fh)
     else:

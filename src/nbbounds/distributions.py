@@ -6,7 +6,9 @@ and ``Poisson(mu)`` at ``kappa == 0``. The order in which NB2 counts take
 their draws from a stream is written once, in ``_nb2_sampler``:
 :func:`sample_nb2` and every NB2 Monte Carlo experiment draw through it.
 No other module calls a generator's ``gamma`` or ``poisson`` (a CI step
-checks this).
+checks this). The centred NB cumulant behind :func:`nb_log_mgf` and the
+Chernoff bound is likewise written once, in ``_nb_centred_cgf``, and no
+other module calls ``expm1`` (checked by the same step).
 
 Two NB parameterizations are supported with exact interconversion: the
 classical ``(r, p)`` form (``r`` successes, success probability ``p``; ``r``
@@ -284,21 +286,58 @@ class GammaMixture:
 
 
 def nb_log_mgf(params: NBParams, t: float) -> float:
-    """Log moment-generating function of NB(r, p) at ``t``.
+    """Log moment-generating function of NB(r, p) at ``t < -log(1-p)``.
 
-    Valid for ``t < -log(1-p)``; returns ``r*(log p - log(1 - (1-p)*e^t))``
-    computed in the log domain so that ``r`` in the thousands cannot
-    overflow and values remain accurate arbitrarily close to the domain
-    boundary.
+    ``K(t) + t*mean`` for ``t >= 0``, with ``K`` from :func:`_nb_centred_cgf`:
+    two nonnegative terms, accurate for any ``r`` up to the domain's end.
+    Below 0 they would cancel, so it is ``-r log(1 - x)``, ``x = (1-p) expm1(t) / p``:
+    by ``log1p`` while ``x > -1``, beyond as ``r (log p - log(1 - (1-p) e^t))``.
     """
-    log_q = math.log1p(-params.p)  # log(1-p), so t_max = -log_q
-    if t >= -log_q:
+    r, p = params.r, params.p
+    if not t < -math.log1p(-p):  # also NaN
         raise DomainError(
             "mgf-domain-exceeded",
-            f"t = {t} is outside the MGF domain t < {-log_q}",
+            f"t = {t} is outside the MGF domain t < {-math.log1p(-p)}",
         )
-    # 1 - (1-p) e^t = -expm1(t + log(1-p)), stable near the boundary
-    return params.r * (math.log(params.p) - math.log(-math.expm1(t + log_q)))
+    if t < 0.0:
+        x = (1.0 - p) * math.expm1(t) / p  # may be -inf for a subnormal p
+        if x > -1.0:
+            return -r * math.log1p(-x)
+        return r * (math.log(p) - math.log(-math.expm1(t + math.log1p(-p))))
+    # t * mean, ordered so that a mean past the float range cannot overflow it
+    return _nb_centred_cgf(r, p, t)[0] + r * ((1.0 - p) * t / p)
+
+
+def _log1p_excess(x: float, log_ratio: float) -> float:
+    """``-log1p(-x) - x``, given ``log_ratio = -log1p(-x)``. From ``|x| = 2**-4``
+    on it is their difference, within 2**-47 relative; below, it is
+    ``u (x + 2 u**2 S(u**2))``, ``u = x/(2 - x)``, ``S(v) = sum v**k/(2k + 3)``
+    to five terms, within 2**-57 (the form of R's ``log1pmx``)."""
+    if abs(x) >= 2.0**-4:
+        return log_ratio - x
+    u = x / (2.0 - x)
+    v = u * u
+    return u * (x + 2.0 * v * (1 / 3 + v * (1 / 5 + v * (1 / 7 + v * (1 / 9 + v / 11)))))
+
+
+def _nb_centred_cgf(r: float, p: float, t: float) -> tuple[float, float, float]:
+    """``(K(t), K'(t), K''(t))`` of ``K(t) = log E exp(t (X - mean))``, X ~ NB(r, p).
+
+    For ``t < -log1p(-p)`` (unchecked). With ``q = 1 - p`` and
+    ``x = q expm1(t) / p`` the MGF is ``(1 - x)**-r``, so
+    ``K = r (-log1p(-x) - x) + mean (expm1(t) - t)``: two nonnegative
+    excesses (the second is the first at ``-expm1(t)``), neither cancelling.
+    ``K' = r x / w`` and ``K'' = r q e**t / w**2`` with ``w = p (1 - x) =
+    -expm1(t + log1p(-p))``, positive for every float ``t`` in the domain;
+    near the domain's end ``-log1p(-x)`` is taken as ``log(p / w)``.
+    """
+    q = 1.0 - p
+    em1 = math.expm1(t)
+    x = q * em1 / p
+    w = -math.expm1(t + math.log1p(-p))
+    excess_x = _log1p_excess(x, math.log(p / w) if x >= 0.5 else -math.log1p(-x))
+    excess_t = _log1p_excess(-em1, -t)
+    return r * excess_x + r * (q * excess_t / p), r * x / w, r * q * math.exp(t) / w / w
 
 
 def sample_nb(

@@ -318,12 +318,14 @@ def load_scenario(source: str | os.PathLike | io.TextIOBase) -> tuple[EpiScenari
 
 
 def _scenario_number(value, field: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise DomainError(
-            "invalid-parameter", f"scenario field {field} must be a number, got {value!r}"
-        ) from None
+    if not isinstance(value, bool):  # float() reads a JSON true or false as 1 or 0
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise DomainError(
+        "invalid-parameter", f"scenario field {field} must be a number, got {value!r}"
+    )
 
 
 def load_counts(source: str | os.PathLike | io.TextIOBase, scenario: EpiScenario) -> np.ndarray:

@@ -214,6 +214,55 @@ def reference_chernoff_log_objective(params, a: float, t: float) -> tuple[Decima
         return +value, +scale
 
 
+def reference_nb_centred_cgf(r: float, p: float, t: float) -> tuple[Decimal, ...]:
+    """``(K, K', K'', K''')`` of ``K(t) = -r log(1 - x) - t mean`` with
+    ``x = (1 - p)(e^t - 1)/p``, in ``decimal`` at 400 digits, every float
+    input read exactly. ``K' = r x / (p (1 - x))``,
+    ``K'' = r (1 - p) e^t / (p (1 - x))**2`` and ``K''' = K'' (1 + 2 (1 - p) e^t
+    / (p (1 - x)))``. The 400 digits keep ``1 - x`` and the difference
+    ``-r log(1 - x) - t mean`` exact far past 17 digits for ``p`` down to the
+    smallest subnormal."""
+    with localcontext() as ctx:
+        ctx.prec = 400
+        r, p, t = Decimal(r), Decimal(p), Decimal(t)
+        q, e_t = 1 - p, t.exp()
+        x = q * (e_t - 1) / p
+        w = p * (1 - x)
+        k2 = r * q * e_t / w**2
+        k = -r * (1 - x).ln() - t * r * q / p
+        return +k, +(r * x / w), +k2, +(k2 * (1 + 2 * q * e_t / w))
+
+
+def reference_chernoff_log_bound(params, a: float) -> Decimal:
+    """``min over 0 < t < min(-log(1 - p_i)) of sum(K_i(t)) - t n a``, the
+    log of the Chernoff bound, in ``decimal`` at 60 digits.
+
+    The derivative ``sum(K_i'(t)) - n a`` increases from ``-n a`` to
+    ``+inf`` on that interval, so 120 bisections on its sign place the
+    minimizer to about 1e-36 of the interval, where the objective is flat to
+    far below a float's resolution. Only ``K'`` is needed for the sign, one
+    exponential per step; the objective takes one logarithm per variable."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        rs = [Decimal(q.r) for q in params]
+        ps = [Decimal(q.p) for q in params]
+        target = len(params) * Decimal(a)
+        lo, hi = Decimal(0), min(-(1 - p).ln() for p in ps)
+        for _ in range(120):
+            t = (lo + hi) / 2
+            growth = t.exp() - 1
+            xs = [(1 - p) * growth / p for p in ps]
+            if sum(r * x / (p * (1 - x)) for r, p, x in zip(rs, ps, xs)) < target:
+                lo = t
+            else:
+                hi = t
+        growth = lo.exp() - 1
+        value = -lo * target
+        for r, p in zip(rs, ps):
+            value += -r * (1 - (1 - p) * growth / p).ln() - lo * r * (1 - p) / p
+        return +value
+
+
 def reference_control_limit(v_n: float, alpha_level: float) -> Fraction:
     """``sqrt(v_n / alpha_level)`` in ``decimal`` at 60 digits."""
     with localcontext() as ctx:

@@ -51,11 +51,38 @@ class TestChernoff:
         assert result.bound_value == pytest.approx(1.0, abs=1e-9)
 
     def test_rounded_positive_minimum_gives_one(self):
-        # the log-objective's rounding error (about r * |log p| * 2**-53) puts
-        # its computed minimum far above 0; exp of it overflowed
+        # t_star is subnormal, where t * n * a underflows to 0 and the
+        # objective rounds above 0: the bound is 1, not exp of that
         params = [NBParams(3.009303794823953e17, 1.2149061125292491e-200),
                   NBParams(3.336478591689921e-11, 0.9999999976906356)]
         result = chernoff_mean_deviation_bound(params, 3.860285527784333e-164)
+        assert result.raw_value == result.bound_value == 1.0
+
+    @pytest.mark.parametrize(
+        "q, a, expected",
+        [
+            # the deviation is a tiny fraction of a standard deviation
+            (NBParams(1e20, 0.5), 1.0, 1.0),
+            (NBParams(1e17, 0.5), 1.0, 1.0),
+            # helpers.reference_chernoff_log_bound, exponentiated in decimal
+            (NBParams(1e20, 0.5), 5.25e11, 5.545738012089917e-300),
+            (NBParams(1e12, 0.3), 2e7, 6.799576282968456e-12),
+        ],
+    )
+    def test_large_r_is_accurate(self, q, a, expected):
+        # r * log(p) is far larger than the objective, so no term of that size
+        # may enter it
+        result = chernoff_mean_deviation_bound([q], a)
+        assert result.bound_value == pytest.approx(expected, rel=1e-12, abs=0.0)
+        assert result.optimizer.converged
+
+    def test_overflowing_deviation_total_gives_zero(self, design):
+        # n * a is inf: the bound is 0.0, not NaN
+        result = chernoff_mean_deviation_bound(design.independent, 1e308)
+        assert result.raw_value == result.bound_value == 0.0
+        assert result.optimizer.converged
+        # t_max is the smallest float, so only t = 0 is left: the bound is 1
+        result = chernoff_mean_deviation_bound([NBParams(1e-20, 5e-324)] * 2, 1e308)
         assert result.raw_value == result.bound_value == 1.0
 
     def test_dominates_exact_tail_dp(self):

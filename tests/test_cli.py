@@ -90,7 +90,7 @@ class TestBoundCommand:
         assert record["optimizer"]["t_star"] == expected.optimizer.t_star
 
     def test_chernoff_at_subnormal_p_exit_0(self):
-        # t_max is about 1e-320, where (1 - 1e-10) * t_max rounds to t_max
+        # t_max is about 1e-320, a subnormal: the solve stays below it
         proc = run_cli("bound", "chernoff", "--params", "1e-20:1e-320", "--a", "1")
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["bound_value"] == 1.0
@@ -796,6 +796,37 @@ class TestRuntimeImports:
             text=True,
         )
         assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, fragment",
+    [
+        pytest.param(argv, fragment, id=" ".join(arg or "''" for arg in argv))
+        for argv, fragment in [
+            (["limit", "--params", "100:0.2", "--alpha", ""], "alpha list '' is empty"),
+            (["limit", "--scenario", "SCENARIO", "--alpha", ""], "alpha list '' is empty"),
+            (["limit", "--params", "100:0.2", "--scenario", ""], "cannot read scenario file"),
+            (["reproduce", "epi", "--reps", "1", "--out", ""], "invalid-parameter: cannot write to "),
+            (["monitor", "--scenario", "SCENARIO", "--counts", "COUNTS", "--out", ""],
+             "invalid-parameter: cannot write to "),
+        ]
+    ],
+)
+def test_empty_option_value_exit_1_and_writes_nothing(
+    argv, fragment, scenario_file, tmp_path, monkeypatch
+):
+    # an empty value is a bad value, not an option left out: it neither
+    # falls back to a default level nor writes to stdout or the working directory
+    monkeypatch.delenv(cli.OUT_ENV_VAR, raising=False)
+    counts = tmp_path / "counts.csv"
+    counts.write_text("region_1,region_2,region_3,region_4,region_5\n250,300,310,500,390\n")
+    workdir = tmp_path / "work"
+    workdir.mkdir()
+    files = {"SCENARIO": scenario_file, "COUNTS": str(counts)}
+    proc = run_cli(*[files.get(arg, arg) for arg in argv], cwd=workdir)
+    assert_error_exit_1(proc, fragment)
+    assert proc.stdout == ""
+    assert list(workdir.iterdir()) == []
 
 
 class TestErrorCodes:

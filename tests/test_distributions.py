@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -105,6 +106,25 @@ class TestLogMgf:
             2.32727412384621, rel=1e-10
         )
 
+    @pytest.mark.parametrize(
+        "r, p, t",
+        [
+            (1e20, 0.5, 1e-10),  # no r * log(p) term may cancel in the result
+            (3.0, 0.3, 0.9 * -math.log1p(-0.3)),
+            (3.0, 0.3, -1e-9),
+            (3.0, 0.3, -1e6),
+            (3.0, 0.3, -math.inf),  # r log p, the log of P(X = 0)
+            (1e300, 1e-10, -1.0),  # t * mean is past the float range
+            (1.0, 1e-320, -1.0),  # (1-p) expm1(t) / p is past it
+        ],
+    )
+    def test_matches_decimal(self, r, p, t):
+        with localcontext() as ctx:
+            ctx.prec = 60
+            growth = Decimal(t).exp() - 1
+            exact = -Decimal(r) * (1 - (1 - Decimal(p)) * growth / Decimal(p)).ln()
+        assert nb_log_mgf(NBParams(r, p), t) == pytest.approx(float(exact), rel=1e-14, abs=0.0)
+
     def test_derivative_at_zero_is_mean(self):
         q = NBParams(3, 0.3)
         h = 1e-6
@@ -118,6 +138,8 @@ class TestLogMgf:
             nb_log_mgf(q, t_max)
         with pytest.raises(DomainError, match="mgf-domain-exceeded"):
             nb_log_mgf(q, t_max + 1.0)
+        with pytest.raises(DomainError, match="mgf-domain-exceeded"):
+            nb_log_mgf(q, math.nan)
 
     def test_diverges_monotonically_at_boundary(self):
         q = NBParams(2.5, 0.35)

@@ -316,6 +316,23 @@ class TestFileFormats:
         with pytest.raises(DomainError, match=r"regions\[1\]\.weekly_mu"):
             load_scenario(io.StringIO(doc))
 
+    @pytest.mark.parametrize(
+        "regions, weeks, alphas, field",
+        [
+            ('{"weekly_mu": true, "kappa": 0.1}', "2", "[0.05]", r"regions\[0\]\.weekly_mu"),
+            ('{"weekly_mu": 5, "kappa": false}', "2", "[0.05]", r"regions\[0\]\.kappa"),
+            ('{"weekly_mu": 5, "kappa": 0.1}', "true", "[0.05]", "weeks"),
+            ('{"weekly_mu": 5, "kappa": 0.1}', "2", "[0.05, true]", r"alpha_levels\[1\]"),
+        ],
+    )
+    def test_boolean_scenario_number_named(self, regions, weeks, alphas, field):
+        # float(True) is 1.0: a JSON true would otherwise read as mu 1 or 1 week
+        doc = f'{{"regions": [{regions}], "weeks": {weeks}, "alpha_levels": {alphas}}}'
+        message = f"{field} must be a number, got (True|False)$"
+        with pytest.raises(DomainError, match=message) as info:
+            load_scenario(io.StringIO(doc))
+        assert info.value.code == "invalid-parameter"
+
     @pytest.mark.parametrize("bad", [0.0, 1.0, -0.05, 1.5, '"nan"'])
     def test_alpha_level_outside_unit_interval_named(self, bad):
         doc = (
