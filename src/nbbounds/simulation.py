@@ -18,7 +18,9 @@ the replications into chunks and queues their numbers in one pipe. This
 process and forked workers, one per usable CPU, take chunks from the queue
 until it is empty and write their rows straight into the one result array
 in shared memory; the result does not depend on which process drew which
-chunk. Every sampler it runs must therefore be a pure function of its
+chunk. A chunk is marked done once its last row is stored, and after
+reaping every child this process draws again each chunk that no worker
+finished. Every sampler it runs must therefore be a pure function of its
 generator: a side effect inside it happens in whichever process drew the
 row.
 """
@@ -235,38 +237,31 @@ def _chunk_rows(k: int, chunk: int, stop: int) -> range:
     return range(1 + k * chunk, min(1 + (k + 1) * chunk, stop))
 
 
-def _drain(one, seed: int, rows: np.ndarray, queue: int, claims: np.ndarray, worker: int,
-           chunk: int) -> None:
+def _drain(one, seed: int, rows: np.ndarray, queue: int, done: np.ndarray, chunk: int) -> None:
     """Draw every chunk read from the pipe ``queue`` until its end.
 
-    Each chunk is marked ``worker``'s in ``claims`` before its first row is
-    drawn. If ``one`` raises, the chunk it raised in is marked unclaimed
-    again before the exception propagates.
+    ``done[k]`` is set to 1 once chunk ``k``'s last row is stored: the
+    line after its rows runs only when :func:`_fill` asks for the next
+    index. A chunk in which ``one`` raised is never marked.
     """
-    current = None
 
     def indices():
-        nonlocal current
         while record := os.read(queue, 4):
-            current = int.from_bytes(record, "little")
-            claims[current] = worker
-            yield from _chunk_rows(current, chunk, len(rows))
+            k = int.from_bytes(record, "little")
+            yield from _chunk_rows(k, chunk, len(rows))
+            done[k] = 1.0
 
-    try:
-        _fill(one, seed, rows, indices())
-    except Exception:
-        if current is not None:
-            claims[current] = 0
-        raise
+    _fill(one, seed, rows, indices())
 
 
-def _fork_worker(one, seed: int, rows: np.ndarray, queue: int, claims: np.ndarray, worker: int,
+def _fork_worker(one, seed: int, rows: np.ndarray, queue: int, done: np.ndarray,
                  chunk: int) -> int | None:
     """Fork a child that drains ``queue`` into ``rows``, a shared array.
 
     Returns the child's pid, or None when no child could be started. The
     child never returns into the caller: it ends in ``os._exit``, with
-    status 0 only after the queue's end.
+    status 0 only after the queue's end and 1 on an exception. No code
+    reads that status: ``done`` alone says which chunks the child finished.
     """
     try:
         pid = os.fork()
@@ -275,7 +270,7 @@ def _fork_worker(one, seed: int, rows: np.ndarray, queue: int, claims: np.ndarra
     if pid == 0:
         status = 1
         try:
-            _drain(one, seed, rows, queue, claims, worker, chunk)
+            _drain(one, seed, rows, queue, done, chunk)
             status = 0
         finally:
             os._exit(status)
@@ -304,14 +299,15 @@ def replicate(
     queue until its end and write each chunk's rows straight into the
     result. ``one`` must therefore be a pure function of its generator,
     since it may run in another process. The rows are the same whichever
-    worker draws a chunk. A worker marks each chunk it claims in a shared
-    array, and a child's exit status is its only message. After reaping
-    every child, this process draws again, in increasing stream order,
-    each chunk that no worker claimed, that a child which did not exit with
-    0 claimed, or in which ``one`` raised here. So an exception from ``one``
-    reaches the caller as in a serial run. Forks no child when there is one
-    worker, no ``os.fork``, or more than one live thread; this process then
-    drains the queue alone, as it does when no child could be forked.
+    worker draws a chunk, so a worker marks a chunk done in a shared array
+    once its last row is stored; no code reads a child's exit status. After
+    reaping every child, this process draws again, in increasing stream
+    order, each chunk that no worker finished. So a worker that died or
+    raised keeps the chunks it finished, and an exception from ``one``
+    reaches the caller from the first failing stream, as in a serial run.
+    Forks no child when there is one worker, no ``os.fork``, or more than
+    one live thread; this process then drains the queue alone, as it does
+    when no child could be forked.
     """
     replications = _require_count("replications", replications)
     row = one(next(streams(seed, [0])))
@@ -322,35 +318,32 @@ def replicate(
         workers = 1
     chunk = max(_CHUNK, -(-(replications - 1) // _MAX_CHUNKS))
     n_chunks = -(-(replications - 1) // chunk)
-    claims = _shared_rows((n_chunks,))  # the claiming worker's number, 0 while unclaimed
-    children = {}  # worker number -> pid; this process is worker 1
+    done = _shared_rows((n_chunks,))  # 1 once a chunk's last row is stored
+    children = []  # pids not yet reaped
     queue, feed = os.pipe()
     try:
         try:
             os.write(feed, np.arange(n_chunks, dtype="<u4").tobytes())
         finally:
             os.close(feed)
-        for worker in range(2, workers + 1):
-            pid = _fork_worker(one, seed, rows, queue, claims, worker, chunk)
+        for _ in range(workers - 1):
+            pid = _fork_worker(one, seed, rows, queue, done, chunk)
             if pid is None:
                 break
-            children[worker] = pid
+            children.append(pid)
         try:
-            _drain(one, seed, rows, queue, claims, 1, chunk)
+            _drain(one, seed, rows, queue, done, chunk)
         except Exception:
-            pass  # its chunk is unclaimed again, and raises again when drawn below
-        lost = [0]
-        for worker, pid in list(children.items()):
-            if os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) != 0:
-                lost.append(worker)
-            del children[worker]
-        redraw = np.flatnonzero(np.isin(claims, lost)).tolist()
+            pass  # its chunk is not done, and raises again when drawn below
+        while children:
+            os.waitpid(children[-1], 0)
+            children.pop()
         _fill(one, seed, rows, itertools.chain.from_iterable(
-            _chunk_rows(k, chunk, replications) for k in redraw
+            _chunk_rows(k, chunk, replications) for k in np.flatnonzero(done == 0).tolist()
         ))
     finally:
         os.close(queue)
-        for pid in children.values():
+        for pid in children:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
     return rows

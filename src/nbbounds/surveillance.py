@@ -278,10 +278,11 @@ def load_scenario(source: str | os.PathLike | io.TextIOBase) -> tuple[EpiScenari
          "weeks": 12,
          "alpha_levels": [0.05, 0.01]}
 
-    ``id`` is optional and defaults to region_1, region_2, ... Numeric
-    fields must parse as numbers, ``weeks`` must be a whole number and
-    ``alpha_levels``, if given, must be a nonempty list of levels in (0, 1);
-    a bad field raises a ``DomainError`` naming it.
+    ``id`` is optional and defaults to region_1, region_2, ...; when given
+    it must be a string. ``regions`` must be an array, numeric fields must
+    parse as numbers, ``weeks`` must be a whole number and ``alpha_levels``,
+    if given, must be a nonempty array of levels in (0, 1); a bad field
+    raises a ``DomainError`` naming it.
     """
     try:
         doc = json.loads(read_text(source, "scenario file"))
@@ -290,17 +291,15 @@ def load_scenario(source: str | os.PathLike | io.TextIOBase) -> tuple[EpiScenari
     try:
         regions = [
             Region(
-                _scenario_number(r["weekly_mu"], f"regions[{i}].weekly_mu"),
-                _scenario_number(r["kappa"], f"regions[{i}].kappa"),
-                str(r.get("id", "")),
+                _scenario_field(r["weekly_mu"], float, f"regions[{i}].weekly_mu"),
+                _scenario_field(r["kappa"], float, f"regions[{i}].kappa"),
+                _scenario_field(r.get("id", ""), str, f"regions[{i}].id"),
             )
-            for i, r in enumerate(doc["regions"])
+            for i, r in enumerate(_scenario_field(doc["regions"], list, "regions"))
         ]
-        weeks = _scenario_number(doc["weeks"], "weeks")
-        alphas = [
-            _scenario_number(a, f"alpha_levels[{i}]")
-            for i, a in enumerate(doc.get("alpha_levels", [0.05]))
-        ]
+        weeks = _scenario_field(doc["weeks"], float, "weeks")
+        levels = _scenario_field(doc.get("alpha_levels", [0.05]), list, "alpha_levels")
+        alphas = [_scenario_field(a, float, f"alpha_levels[{i}]") for i, a in enumerate(levels)]
     except (KeyError, TypeError) as exc:
         raise DomainError("invalid-parameter", f"malformed scenario document: {exc}") from exc
     if not weeks.is_integer():
@@ -317,14 +316,20 @@ def load_scenario(source: str | os.PathLike | io.TextIOBase) -> tuple[EpiScenari
     return EpiScenario(regions, int(weeks)), alphas
 
 
-def _scenario_number(value, field: str) -> float:
-    if not isinstance(value, bool):  # float() reads a JSON true or false as 1 or 0
+_JSON_KINDS = {float: "a number", str: "a string", list: "an array"}
+
+
+def _scenario_field(value, kind: type, field: str):
+    """``value`` as a ``kind`` of ``_JSON_KINDS``; a number may also be a numeric string."""
+    if kind is float and not isinstance(value, bool):  # float() reads JSON true, false as 1, 0
         try:
             return float(value)
         except (TypeError, ValueError):
             pass
+    elif isinstance(value, kind):
+        return value
     raise DomainError(
-        "invalid-parameter", f"scenario field {field} must be a number, got {value!r}"
+        "invalid-parameter", f"scenario field {field} must be {_JSON_KINDS[kind]}, got {value!r}"
     )
 
 
@@ -351,13 +356,13 @@ def _read_count_rows(
         raise DomainError("invalid-parameter", "counts file is empty") from None
     header = [h.strip() for h in header]
     ids = [r.id for r in scenario.regions]
-    try:
-        order = [header.index(region_id) for region_id in ids]
-    except ValueError:
-        missing = sorted(set(ids) - set(header))
-        raise DomainError(
-            "invalid-parameter", f"counts header is missing region ids {missing}"
-        ) from None
+    missing = sorted(set(ids) - set(header))
+    if missing:
+        raise DomainError("invalid-parameter", f"counts header is missing region ids {missing}")
+    repeated = [region_id for region_id in ids if header.count(region_id) > 1]
+    if repeated:
+        raise DomainError("invalid-parameter", f"counts header repeats region id {repeated[0]!r}")
+    order = [header.index(region_id) for region_id in ids]
     rows = []
     for line_number, row in enumerate(reader, start=2):
         if not row or all(not cell.strip() for cell in row):

@@ -261,6 +261,14 @@ class TestLimitCommand:
         proc = run_cli("limit", "--scenario", str(path))
         assert_error_exit_1(proc, "alpha_levels[1]", "inf")
 
+    def test_alpha_levels_object_exit_1(self, tmp_path):
+        # the keys of {"0.05": 1} were read as levels: exit 0 at alpha 0.05
+        path = tmp_path / "alpha.json"
+        path.write_text(json.dumps({**SCENARIO, "alpha_levels": {"0.05": 1}}))
+        proc = run_cli("limit", "--scenario", str(path))
+        assert_error_exit_1(proc, "invalid-parameter", "alpha_levels must be an array")
+        assert proc.stdout == ""
+
     @pytest.mark.parametrize("command", ["limit", "monitor"])
     def test_empty_alpha_levels_exit_1(self, command, tmp_path):
         path = tmp_path / "alpha.json"
@@ -445,6 +453,21 @@ class TestMonitorCommand:
         counts.write_text("a,b\n10,20\n")
         proc = run_cli("monitor", "--scenario", str(scenario), "--counts", str(counts))
         assert_error_exit_1(proc, "duplicate region id 'a'")
+
+    def test_counts_header_repeating_a_region_id_exit_1(self, tmp_path):
+        scenario = tmp_path / "ab.json"
+        scenario.write_text(json.dumps({
+            "regions": [
+                {"id": "a", "weekly_mu": 10, "kappa": 0.1},
+                {"id": "b", "weekly_mu": 20, "kappa": 0.1},
+            ],
+            "weeks": 4,
+        }))
+        counts = tmp_path / "counts.csv"
+        counts.write_text("a,a,b\n10,99999,20\n")
+        proc = run_cli("monitor", "--scenario", str(scenario), "--counts", str(counts))
+        assert_error_exit_1(proc, "invalid-parameter", "counts header repeats region id 'a'")
+        assert proc.stdout == ""
 
     def test_malformed_row_exit_1_names_line(self, scenario_file, tmp_path):
         path = tmp_path / "bad.csv"

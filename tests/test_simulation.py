@@ -1,5 +1,6 @@
 import math
 import os
+import select
 import signal
 import threading
 import time
@@ -317,6 +318,48 @@ class TestShardedReplicate:
             return gen.standard_normal(2)
 
         self._assert_sharded_equals_serial(monkeypatch, forks, one, workers)
+
+    @pytest.mark.parametrize("failure", ["dies", "raises"])
+    def test_failed_child_keeps_the_chunks_it_finished(
+        self, uniform_serial, forks, monkeypatch, failure
+    ):
+        parent = os.getpid()
+        chunk = simulation._CHUNK
+        # the child reports the chunk it finished through a pipe at the first
+        # row of its next one, and fails there; this process waits for that
+        # report on its first row, so the child takes two chunks under any
+        # schedule
+        report, reporter = os.pipe()
+        waited, drawn_here, first = [], [], []
+
+        def one(gen):
+            index = _stream_index(gen)
+            if os.getpid() == parent:
+                if index >= 1 and not waited:  # a report still missing after 60 s fails below
+                    waited.append(select.select([report], [], [], 60))
+                drawn_here.append(index)
+            elif not first:
+                first.append((index - 1) // chunk)
+            elif (index - 1) // chunk != first[0]:
+                os.write(reporter, first[0].to_bytes(4, "little"))
+                if failure == "dies":
+                    os._exit(3)
+                raise DomainError("invalid-parameter", "child")
+            return gen.random()
+
+        self._workers(monkeypatch, 2)
+        try:
+            got = replicate(one, SHARD_REPS, SEED)
+        finally:
+            os.close(reporter)
+            with open(report, "rb") as reports:
+                reported = reports.read()
+        assert np.array_equal(got, uniform_serial)
+        assert len(forks) == 1
+        assert len(reported) == 4
+        # the finished chunk's rows are the child's: this process never drew them
+        finished = int.from_bytes(reported, "little")
+        assert all((i - 1) // chunk != finished for i in drawn_here if i >= 1)
 
     def test_error_in_parent_shard_reaps_children(self, forks, monkeypatch):
         parent = os.getpid()

@@ -363,6 +363,41 @@ class TestFileFormats:
         with pytest.raises(DomainError, match="missing region ids"):
             load_counts(io.StringIO("a\n1\n"), scenario)
 
+    def test_counts_header_repeating_a_region_id_rejected(self):
+        scenario = EpiScenario([Region(1.0, 0.1, "a"), Region(2.0, 0.1, "b")], weeks=2)
+        # the 99999 column was read as nothing at all
+        with pytest.raises(DomainError, match="counts header repeats region id 'a'$") as info:
+            load_counts(io.StringIO("a,a,b\n10,99999,20\n"), scenario)
+        assert info.value.code == "invalid-parameter"
+        # a column that is no scenario id stays ignored, repeated or not
+        counts = load_counts(io.StringIO("c,b,a,c\n1,20,10,2\n"), scenario)
+        np.testing.assert_array_equal(counts, [[10.0, 20.0]])
+
+    @pytest.mark.parametrize(
+        "regions, alphas, message",
+        [
+            ('[{"weekly_mu": 5, "kappa": 0.1}]', '{"0.05": 1}',
+             r"alpha_levels must be an array, got \{'0\.05': 1\}"),
+            ('[{"weekly_mu": 5, "kappa": 0.1}]', '"0.05"',
+             r"alpha_levels must be an array, got '0\.05'"),
+            ('{"north": {"weekly_mu": 5, "kappa": 0.1}}', "[0.05]",
+             r"regions must be an array, got \{'north': .*\}"),
+            ('[{"id": null, "weekly_mu": 5, "kappa": 0.1}]', "[0.05]",
+             r"regions\[0\]\.id must be a string, got None"),
+            ('[{"id": true, "weekly_mu": 5, "kappa": 0.1}]', "[0.05]",
+             r"regions\[0\]\.id must be a string, got True"),
+            ('[{"id": 7, "weekly_mu": 5, "kappa": 0.1}]', "[0.05]",
+             r"regions\[0\]\.id must be a string, got 7"),
+        ],
+        ids=["alpha_levels-object", "alpha_levels-string", "regions-object",
+             "id-null", "id-true", "id-number"],
+    )
+    def test_loose_json_type_named(self, regions, alphas, message):
+        # read before as the object's keys, one character at a time, or str(id)
+        doc = f'{{"regions": {regions}, "weeks": 2, "alpha_levels": {alphas}}}'
+        with pytest.raises(DomainError, match=f"^invalid-parameter: scenario field {message}$"):
+            load_scenario(io.StringIO(doc))
+
     def test_history_format(self):
         state = start_monitoring(limit=50.0, horizon=2)
         state = monitor_step(state, [120.0], [100.0])
