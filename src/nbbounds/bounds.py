@@ -37,9 +37,11 @@ tightly that the bisection's comparisons outside the bracket need no
 evaluation.
 Two exact-tail oracles validate the bounds on small instances. Both run
 one absorbing-barrier walk that convolves truncated PMFs one variable at a
-time, under one work budget; the mean tail runs it with no barrier. The NB
-marginals are computed with numpy alone (log-domain recurrence, provable
-truncation), so the package needs no scipy at run time.
+time, under one work budget; the mean tail runs it with no barrier. The
+walk starts at the first marginal itself, which is what convolving it with
+the point mass at 0 gives. The NB marginals are computed with numpy alone
+(log-domain recurrence, provable truncation), so the package needs no
+scipy at run time.
 """
 
 from __future__ import annotations
@@ -132,11 +134,12 @@ def _clamped(threshold, raw, components=None, optimizer=None) -> BoundResult:
         )
     raw = float(raw)
     # filled in one step: the frozen dataclass's __init__ sets each field
-    # through object.__setattr__, which takes about twice as long
+    # through object.__setattr__, which takes about twice as long; the clamp
+    # is a comparison, since a call to min took a fifth of this function's time
     result = object.__new__(BoundResult)
     result.__dict__.update(
         threshold=float(threshold),
-        bound_value=min(1.0, raw),
+        bound_value=raw if raw < 1.0 else 1.0,
         raw_value=raw,
         components=components,
         optimizer=optimizer,
@@ -484,7 +487,7 @@ def _truncated_pmf(q: NBParams, tails: list[float] | None = None) -> np.ndarray:
             np.log1p(steps, out=steps)
         steps += log_q
         log_pmf[0] = q.r * math.log(q.p)
-        np.cumsum(log_pmf, out=log_pmf)
+        log_pmf.cumsum(out=log_pmf)  # the method: np.cumsum adds a Python layer
         rho = max((n - 1 + q.r) / n * (1.0 - q.p), 1.0 - q.p)
         if rho < 1.0 and log_pmf[-1] - math.log1p(-rho) <= log_remainder:
             break
@@ -494,10 +497,15 @@ def _truncated_pmf(q: NBParams, tails: list[float] | None = None) -> np.ndarray:
             )
         n = min(2 * n, _ORACLE_MAX_STATES)
     pmf = np.exp(log_pmf, out=log_pmf)
-    at_least = np.cumsum(pmf[::-1])[::-1]  # at_least[k] = P(X >= k) = P(X > k-1)
-    k_max = int(np.argmax(at_least <= _ORACLE_TAIL_MASS))
+    # from_end[m] = P(X >= n-1-m) within the scan, nondecreasing in m; the
+    # ndarray methods skip the Python layer that np.cumsum and the like add
+    from_end = pmf[::-1].cumsum()
+    # the entries <= 1e-12 are from_end[:cut], never none as the scan's end
+    # certified f(n-1) below that: K = n - cut is the first k with P(X >= k) <= 1e-12
+    cut = int(from_end.searchsorted(_ORACLE_TAIL_MASS, "right"))
+    k_max = n - cut
     if tails is not None:
-        scanned = float(at_least[k_max + 1]) if k_max + 1 < n else 0.0
+        scanned = float(from_end[cut - 2]) if cut >= 2 else 0.0  # P(X > K)
         tails.append(scanned + float(pmf[-1]) / (1.0 - rho))
     return pmf[: k_max + 1]
 
@@ -511,26 +519,31 @@ def _exact_walk(
     indexed by the integer partial sum; any entry whose centered sum has
     reached ``lam`` in absolute value moves to the exceeded mass, so with
     ``lam = inf`` the surviving pmf is the truncated law of the full sum.
-    The budget counts what the walk computes: the sum over variables of
-    ``len(partial sum pmf) * len(marginal pmf)``, plus the length of the
-    final partial-sum pmf; it is checked before each convolution. Returns
-    ``(surviving, exceeded, total_mean)``; a ``tails`` list receives each
-    marginal's certified discarded tail.
+    The walk starts from the point mass ``[1.0]`` at 0, and convolving that
+    with the first marginal gives the marginal back bit for bit, so the
+    first step takes the marginal itself (a fresh array, which the barrier
+    may zero in place). The budget counts what the walk computes: the sum
+    over variables of ``len(partial sum pmf) * len(marginal pmf)``, the
+    first step included as ``1 * len(marginal pmf)``, plus the length of
+    the final partial-sum pmf; it is checked before each convolution.
+    Returns ``(surviving, exceeded, total_mean)``; a ``tails`` list
+    receives each marginal's certified discarded tail.
     """
-    surviving = np.array([1.0])  # mass by integer partial sum, not yet exceeded
+    surviving = None  # mass by integer partial sum, not yet exceeded; [1.0] at first
     exceeded = 0.0
     total_mean = 0.0
     work = 0
     for q in params:
         pmf = _truncated_pmf(q, tails)
-        work += len(surviving) * len(pmf)
-        span = len(surviving) + len(pmf) - 1  # length of the partial-sum pmf after it
+        size = 1 if surviving is None else len(surviving)
+        work += size * len(pmf)
+        span = size + len(pmf) - 1  # length of the partial-sum pmf after it
         if work + span > _ORACLE_MAX_STATES:
             raise _oracle_infeasible(
                 f"convolving the truncated marginals takes at least {work + span} steps"
             )
         total_mean += q.mean()
-        surviving = np.convolve(surviving, pmf)
+        surviving = pmf if surviving is None else np.convolve(surviving, pmf)
         # |k - centre| is largest at an end of 0..len-1, so no entry hits unless an end does
         if max(total_mean, len(surviving) - 1 - total_mean) >= lam:
             i, j = _barrier_ends(len(surviving), total_mean, lam)

@@ -3,8 +3,9 @@
 Every sampler of the package lives here, with the NB2 mapping: an NB2
 ``(mu, kappa)`` count is ``Poisson(Gamma(shape=1/kappa, scale=kappa*mu))``,
 and ``Poisson(mu)`` at ``kappa == 0``. The order in which NB2 counts take
-their draws from a stream is written once, in ``_nb2_sampler``:
-:func:`sample_nb2` and every NB2 Monte Carlo experiment draw through it.
+their draws from a stream is written once, in ``_nb2_draw``:
+:func:`sample_nb2` and, through ``_nb2_sampler``, every NB2 Monte Carlo
+experiment draw through it.
 No other module calls a generator's ``gamma`` or ``poisson`` (a CI step
 checks this). The centred NB cumulant behind :func:`nb_log_mgf` and the
 Chernoff bound is likewise written once, in ``_nb_centred_cgf``, and no
@@ -364,13 +365,19 @@ def sample_nb2(
     rng: RngHandle | np.random.Generator,
     size: int | None = None,
 ):
-    """Draw from NB2(mu, kappa) through :func:`_nb2_sampler`, so ``size``
-    draws are what the Monte Carlo kernel draws for ``size`` copies of
-    ``params``. With ``size=None`` returns a single integer; otherwise an
-    integer array."""
+    """Draw from NB2(mu, kappa) through :func:`_nb2_draw`, the draw order of
+    :func:`_nb2_sampler`, so ``size`` draws are what the Monte Carlo kernel
+    draws for ``size`` copies of ``params``. With ``size=None`` returns a
+    single integer; otherwise an integer array. The parameters stay scalars,
+    as ``_nb2_sampler`` makes them for equal entries, so no array of
+    ``size`` copies is built."""
     k = 1 if size is None else size
-    draw = _nb2_sampler(np.full(k, params.mu), np.full(k, params.kappa))(as_generator(rng))
-    return int(draw[0]) if size is None else np.asarray(draw).reshape(k)
+    n = math.prod(k) if isinstance(k, (tuple, list)) else k
+    kappa, mu = float(params.kappa), float(params.mu)
+    n_over = n if kappa > 0.0 else 0
+    shape = 1.0 / kappa if n_over else 0.0  # no gamma is drawn at kappa == 0
+    counts = _nb2_draw(shape, kappa * mu, n_over, mu, n - n_over)(as_generator(rng))
+    return int(counts[0]) if size is None else np.asarray(counts).reshape(k)
 
 
 # Fewest gamma Poissons worth one array call. numpy checks an array of means
@@ -395,8 +402,9 @@ def _nb2_sampler(mus: np.ndarray, kappas: np.ndarray):
     """``draw(gen)``: one NB2 count per entry of the float arrays ``mus``
     and ``kappas``, in their order.
 
-    All gammas are drawn first, then their Poissons, then the Poissons of
-    the ``kappa == 0`` entries in one call. That order defines the
+    :func:`_nb2_draw` draws all gammas first, then their Poissons, then the
+    Poissons of the ``kappa == 0`` entries in one call, from the parameters
+    made scalar here where all entries are equal. That order defines the
     stream-to-draw mapping, so per-entry :func:`sample_nb2` calls would not
     reproduce more than one entry. The counts come as an integer array or a
     list of ints, or as a float array when ``kappa == 0`` entries sit beside
@@ -404,10 +412,22 @@ def _nb2_sampler(mus: np.ndarray, kappas: np.ndarray):
     """
     over = kappas > 0.0
     n_over = int(np.count_nonzero(over))
-    n_poisson = over.size - n_over
-    shape = _scalar_if_constant(1.0 / kappas[over])
-    scale = _scalar_if_constant((kappas * mus)[over])
-    mu = _scalar_if_constant(mus[~over])
+    return _nb2_draw(
+        _scalar_if_constant(1.0 / kappas[over]),
+        _scalar_if_constant((kappas * mus)[over]),
+        n_over,
+        _scalar_if_constant(mus[~over]),
+        over.size - n_over,
+        over,
+    )
+
+
+def _nb2_draw(shape, scale, n_over: int, mu, n_poisson: int, over=None):
+    """``draw(gen)`` of :func:`_nb2_sampler`: ``n_over`` gamma-Poisson
+    counts with gamma ``shape`` and ``scale``, and ``n_poisson`` Poisson
+    counts of mean ``mu``, each parameter a float or an array of one per
+    count. When both kinds occur the boolean array ``over`` marks the
+    gamma-Poisson entries of the result."""
 
     def gamma_poisson(gen: np.random.Generator):
         rates = gen.gamma(shape, scale, size=n_over)

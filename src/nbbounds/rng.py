@@ -83,11 +83,13 @@ def streams(seed: int, indices: Iterable[int]) -> Iterator[np.random.Generator]:
     handle = RngHandle(seed, 0)
     gen = handle.generator()
     bit_generator = gen.bit_generator
-    key = np.array([handle.master_seed, 0], dtype=np.uint64)
+    # plain ints, not uint64 arrays: the state setter reads one word at a
+    # time, and a Python int converts faster than a numpy scalar
+    key = [handle.master_seed, 0]
     start = {
         "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
-        "buffer": np.zeros(4, dtype=np.uint64),
+        "state": {"counter": [0, 0, 0, 0], "key": key},
+        "buffer": [0, 0, 0, 0],
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,

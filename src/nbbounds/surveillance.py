@@ -279,29 +279,36 @@ def load_scenario(source: str | os.PathLike | io.TextIOBase) -> tuple[EpiScenari
          "alpha_levels": [0.05, 0.01]}
 
     ``id`` is optional and defaults to region_1, region_2, ...; when given
-    it must be a string. ``regions`` must be an array, numeric fields must
-    parse as numbers, ``weeks`` must be a whole number and ``alpha_levels``,
-    if given, must be a nonempty array of levels in (0, 1); a bad field
-    raises a ``DomainError`` naming it.
+    it must be a string without leading or trailing whitespace, since the
+    counts header is matched with its cells stripped. The document and each
+    region must be objects, ``regions`` must be an array, numeric fields
+    must parse as numbers, ``weeks`` must be a whole number and
+    ``alpha_levels``, if given, must be a nonempty array of levels in
+    (0, 1); a missing or bad field raises a ``DomainError`` naming it.
     """
     try:
         doc = json.loads(read_text(source, "scenario file"))
     except json.JSONDecodeError as exc:
         raise DomainError("invalid-parameter", f"scenario file is not valid JSON: {exc}") from exc
-    try:
-        regions = [
-            Region(
-                _scenario_field(r["weekly_mu"], float, f"regions[{i}].weekly_mu"),
-                _scenario_field(r["kappa"], float, f"regions[{i}].kappa"),
-                _scenario_field(r.get("id", ""), str, f"regions[{i}].id"),
+    if not isinstance(doc, dict):
+        raise DomainError("invalid-parameter", f"scenario document must be an object, got {doc!r}")
+    regions = []
+    for i, r in enumerate(_scenario_field(_member(doc, "regions"), list, "regions")):
+        field = f"regions[{i}]"
+        r = _scenario_field(r, dict, field)
+        mu = _scenario_field(_member(r, "weekly_mu", field), float, f"{field}.weekly_mu")
+        kappa = _scenario_field(_member(r, "kappa", field), float, f"{field}.kappa")
+        region_id = _scenario_field(r.get("id", ""), str, f"{field}.id")
+        if region_id != region_id.strip():
+            raise DomainError(
+                "invalid-parameter",
+                f"scenario field {field}.id must not start or end with whitespace, "
+                f"got {region_id!r}",
             )
-            for i, r in enumerate(_scenario_field(doc["regions"], list, "regions"))
-        ]
-        weeks = _scenario_field(doc["weeks"], float, "weeks")
-        levels = _scenario_field(doc.get("alpha_levels", [0.05]), list, "alpha_levels")
-        alphas = [_scenario_field(a, float, f"alpha_levels[{i}]") for i, a in enumerate(levels)]
-    except (KeyError, TypeError) as exc:
-        raise DomainError("invalid-parameter", f"malformed scenario document: {exc}") from exc
+        regions.append(Region(mu, kappa, region_id))
+    weeks = _scenario_field(_member(doc, "weeks"), float, "weeks")
+    levels = _scenario_field(doc.get("alpha_levels", [0.05]), list, "alpha_levels")
+    alphas = [_scenario_field(a, float, f"alpha_levels[{i}]") for i, a in enumerate(levels)]
     if not weeks.is_integer():
         raise DomainError(
             "invalid-parameter", f"scenario field weeks must be a whole number, got {weeks}"
@@ -316,7 +323,15 @@ def load_scenario(source: str | os.PathLike | io.TextIOBase) -> tuple[EpiScenari
     return EpiScenario(regions, int(weeks)), alphas
 
 
-_JSON_KINDS = {float: "a number", str: "a string", list: "an array"}
+_JSON_KINDS = {float: "a number", str: "a string", list: "an array", dict: "an object"}
+
+
+def _member(obj: dict, key: str, parent: str = ""):
+    """``obj[key]``, or a DomainError naming the missing scenario field."""
+    if key not in obj:
+        field = f"{parent}.{key}" if parent else key
+        raise DomainError("invalid-parameter", f"scenario field {field} is missing")
+    return obj[key]
 
 
 def _scenario_field(value, kind: type, field: str):

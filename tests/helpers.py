@@ -1,7 +1,8 @@
 """Independent oracles shared by the unit and acceptance suites.
 
 Everything here deliberately avoids the package's own computational paths:
-PMFs come from scipy, mixture marginals from numerical quadrature, Monte
+PMFs come from scipy (and the oracle's marginals from a step-by-step
+replay of its recurrence), mixture marginals from numerical quadrature, Monte
 Carlo cross-checks from numpy's native samplers, bound inversion from the
 plain bisection that ``invert_bound`` must reproduce float for float, the
 exact oracle's barrier step from boolean masks, and the closed-form bounds,
@@ -43,6 +44,41 @@ def scipy_truncated_nb_pmf(r: float, p: float, tail_mass: float) -> np.ndarray:
     """scipy's NB(r, p) pmf on 0..K with K = int(isf(tail_mass)) + 1."""
     k_max = int(stats.nbinom.isf(tail_mass, r, p)) + 1
     return stats.nbinom.pmf(np.arange(k_max + 1), r, p)
+
+
+def reference_truncated_pmf(r: float, p: float, tail_mass: float = 1e-12,
+                            scan_slack: float = 1e-6) -> tuple[np.ndarray, float, int]:
+    """The oracle's NB(r, p) marginal by its own recurrence, step by step.
+
+    The log pmf ``r log p``, ``+ log1p((r-1)/k) + log(1-p)`` (``log r`` at
+    ``k = 1`` when ``r - 1`` rounds to -1) is summed by ``np.cumsum`` over a
+    scan ``0..n-1`` from ``n = int(mean + 10 sd + 40/p) + 1``, doubled until
+    ``f(n-1) / (1 - rho) <= tail_mass * scan_slack`` in the log domain, with
+    ``rho = max((n-1+r)/n (1-p), 1-p)``; the support ends at the first ``k``
+    where the reverse cumulative sum ``P(X >= k)`` is at most ``tail_mass``,
+    found by ``np.argmax``. Returns ``(pmf, certified tail, scans)``.
+    """
+    mean = r * (1.0 - p) / p
+    sd = math.sqrt(r * (1.0 - p) / p**2)
+    n = int(mean + 10.0 * sd + 40.0 / p) + 1
+    scans = 0
+    while True:
+        scans += 1
+        ratios = (r - 1.0) / np.arange(1.0, float(n))
+        if r - 1.0 == -1.0:
+            steps = np.concatenate(([math.log(r)], np.log1p(ratios[1:])))
+        else:
+            steps = np.log1p(ratios)
+        log_pmf = np.cumsum(np.concatenate(([r * math.log(p)], steps + math.log1p(-p))))
+        rho = max((n - 1 + r) / n * (1.0 - p), 1.0 - p)
+        if rho < 1.0 and log_pmf[-1] - math.log1p(-rho) <= math.log(tail_mass * scan_slack):
+            break
+        n *= 2
+    pmf = np.exp(log_pmf)
+    at_least = np.cumsum(pmf[::-1])[::-1]
+    k_max = int(np.argmax(at_least <= tail_mass))
+    scanned = float(at_least[k_max + 1]) if k_max + 1 < n else 0.0
+    return pmf[: k_max + 1], scanned + float(pmf[-1]) / (1.0 - rho), scans
 
 
 def mc_max_deviation_tail(params, lam: float, reps: int, seed: int) -> tuple[float, float]:

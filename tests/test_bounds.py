@@ -29,6 +29,7 @@ from helpers import (
     mc_max_deviation_tail,
     reference_exact_walk,
     reference_mean_tail,
+    reference_truncated_pmf,
     scipy_truncated_nb_pmf,
 )
 
@@ -437,6 +438,24 @@ class TestExactTailOracle:
             assert exact_mean_deviation_tail(params, a).value == reference_mean_tail(
                 marginals, means, a)
 
+    def test_walk_matches_the_reference_on_reference_marginals(self):
+        # marginals from the step-by-step reference, not from _truncated_pmf,
+        # so a change in the marginals shows; one variable walks the
+        # marginal itself, and a second call sees nothing the first zeroed
+        rng = np.random.default_rng(42)
+        for instance in range(200):
+            params = _random_nb_set(rng, n_max=3)
+            marginals, tails = zip(*[reference_truncated_pmf(q.r, q.p)[:2] for q in params])
+            means = [q.mean() for q in params]
+            lam = float(rng.uniform(0.2, 2.5)) * math.sqrt(sum(q.variance() for q in params))
+            expected = reference_exact_walk(marginals, means, lam)
+            for _ in range(2):
+                got_tails = []
+                surviving, exceeded, total_mean = bounds_module._exact_walk(params, lam, got_tails)
+                assert surviving.tobytes() == expected[0].tobytes(), (params, lam)
+                assert (exceeded, total_mean) == expected[1:], (params, lam)
+                assert got_tails == list(tails), (params, lam)
+
     def test_paper_design_at_its_threshold(self, design):
         # 20 marginals: their support sizes multiply to about 1.9e7, but the
         # convolutions take 768,768 multiply-adds into a 1,267-long pmf
@@ -659,6 +678,27 @@ class TestTruncatedPmf:
             ref = scipy_truncated_nb_pmf(r, p, 1e-12)
             assert len(ours) == len(ref), (r, p)
             assert np.max(np.abs(ours - ref)) <= 1e-12, (r, p)
+
+    def test_bytes_and_tail_match_the_step_by_step_reference(self, monkeypatch):
+        # r < 1, r == 1 (geometric), r - 1 rounding to -1 (log r stands for
+        # log1p(-1) at k = 1) and r > 1, each with the default scan slack,
+        # where one scan suffices, and with a tiny one, where scans double
+        rng = np.random.default_rng(32)
+        seen = set()
+        for i in range(400):
+            kind = i % 4
+            r = [float(rng.uniform(0.01, 1.0)), 1.0, 10.0 ** -float(rng.uniform(17.0, 40.0)),
+                 float(rng.uniform(1.0, 40.0))][kind]
+            p = float(rng.uniform(0.05, 0.95))
+            slack = 1e-6 if i % 8 < 4 else 1e-120
+            monkeypatch.setattr(bounds_module, "_ORACLE_SCAN_SLACK", slack)
+            tails: list[float] = []
+            pmf = bounds_module._truncated_pmf(NBParams(r, p), tails)
+            ref, tail, scans = reference_truncated_pmf(r, p, 1e-12, slack)
+            assert pmf.tobytes() == ref.tobytes(), (r, p, slack)
+            assert tails == [tail], (r, p, slack)
+            seen.add((kind, scans > 1))
+        assert seen == {(kind, doubled) for kind in range(4) for doubled in (False, True)}
 
     def test_underflowing_first_term_keeps_full_mass(self):
         # 0.3**1000 underflows to 0.0, so p**r cannot seed the recurrence

@@ -315,6 +315,31 @@ class TestLimitCommand:
         assert record["v_n"] == v_n
         assert record["limits"][0]["lambda"] == pytest.approx(limit, rel=2e-15, abs=0)
 
+    @pytest.mark.parametrize(
+        "doc, fragment",
+        [
+            ([SCENARIO], "scenario document must be an object"),
+            ({"weeks": 12}, "scenario field regions is missing"),
+            ({**SCENARIO, "regions": [5]}, "scenario field regions[0] must be an object, got 5"),
+            ({**SCENARIO, "regions": [{"weekly_mu": 210}]}, "regions[0].kappa is missing"),
+            ({**SCENARIO, "regions": [{"id": " a", "weekly_mu": 210, "kappa": 0.35}]},
+             "scenario field regions[0].id must not start or end with whitespace, got ' a'"),
+        ],
+        ids=["document-array", "regions-missing", "region-number", "kappa-missing",
+             "id-leading-space"],
+    )
+    @pytest.mark.parametrize("command", ["limit", "monitor"])
+    def test_malformed_scenario_named_exit_1(self, command, doc, fragment, tmp_path):
+        # Python's own words before: 'int' object is not subscriptable, and the like
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        counts = tmp_path / "counts.csv"
+        counts.write_text(" a\n3\n")
+        argv = ["--counts", str(counts)] if command == "monitor" else []
+        proc = run_cli(command, "--scenario", str(path), *argv)
+        assert_error_exit_1(proc, "invalid-parameter", fragment)
+        assert proc.stdout == ""
+
     def test_invalid_json_exit_1(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

@@ -388,15 +388,51 @@ class TestFileFormats:
              r"regions\[0\]\.id must be a string, got True"),
             ('[{"id": 7, "weekly_mu": 5, "kappa": 0.1}]', "[0.05]",
              r"regions\[0\]\.id must be a string, got 7"),
+            ('[{"weekly_mu": 5, "kappa": 0.1}, 5]', "[0.05]",
+             r"regions\[1\] must be an object, got 5"),
+            ('[{"id": " a", "weekly_mu": 5, "kappa": 0.1}]', "[0.05]",
+             r"regions\[0\]\.id must not start or end with whitespace, got ' a'"),
+            ('[{"id": "a\\t", "weekly_mu": 5, "kappa": 0.1}]', "[0.05]",
+             r"regions\[0\]\.id must not start or end with whitespace, got 'a\\t'"),
         ],
         ids=["alpha_levels-object", "alpha_levels-string", "regions-object",
-             "id-null", "id-true", "id-number"],
+             "id-null", "id-true", "id-number", "region-number", "id-leading-space",
+             "id-trailing-tab"],
     )
     def test_loose_json_type_named(self, regions, alphas, message):
         # read before as the object's keys, one character at a time, or str(id)
         doc = f'{{"regions": {regions}, "weeks": 2, "alpha_levels": {alphas}}}'
         with pytest.raises(DomainError, match=f"^invalid-parameter: scenario field {message}$"):
             load_scenario(io.StringIO(doc))
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ("[1, 2]", r"scenario document must be an object, got \[1, 2\]"),
+            ('{"weeks": 2}', "scenario field regions is missing"),
+            ('{"regions": [{"weekly_mu": 5, "kappa": 0.1}]}', "scenario field weeks is missing"),
+            ('{"regions": [{"kappa": 0.1}], "weeks": 2}',
+             r"scenario field regions\[0\]\.weekly_mu is missing"),
+            ('{"regions": [{"weekly_mu": 5}], "weeks": 2}',
+             r"scenario field regions\[0\]\.kappa is missing"),
+        ],
+        ids=["document-array", "regions-missing", "weeks-missing", "weekly_mu-missing",
+             "kappa-missing"],
+    )
+    def test_scenario_shape_named(self, doc, message):
+        # read before as Python's own words: list indices must be integers or
+        # slices, not str; malformed scenario document: 'regions'
+        with pytest.raises(DomainError, match=f"^invalid-parameter: {message}$"):
+            load_scenario(io.StringIO(doc))
+
+    @pytest.mark.parametrize("header", [" a", "a"])
+    def test_region_id_with_outer_space_rejected_at_load(self, header):
+        # the counts header cells are stripped, so " a" could match no column
+        doc = '{"regions": [{"id": " a", "weekly_mu": 5, "kappa": 0.1}], "weeks": 2}'
+        with pytest.raises(DomainError, match=r"regions\[0\]\.id") as info:
+            scenario, _ = load_scenario(io.StringIO(doc))
+            load_counts(io.StringIO(f"{header}\n3\n"), scenario)
+        assert info.value.code == "invalid-parameter"
 
     def test_history_format(self):
         state = start_monitoring(limit=50.0, horizon=2)
